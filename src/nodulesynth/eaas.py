@@ -20,7 +20,7 @@ from .errors import PlacementError
 from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
-from .solver import SolverConfig, expected_nfe, pulmonary_solve
+from .solver import SolverConfig, eval_region, expected_nfe, pulmonary_solve
 from .volume import NODULE, SemanticLayout, VoxelVolume, crop, paste
 
 _PLACEMENT_RETRIES = 25
@@ -104,6 +104,7 @@ def run_eaas(req):
 
     full_volume = paste(req.reference, patch, region)
     full_layout = paste(req.lung_layout, m, region)
+    evaluated = eval_region(m, cfg)
     provenance = {
         "seed": int(req.seed),
         "nfe": expected_nfe(cfg.method, cfg.steps),
@@ -111,6 +112,9 @@ def run_eaas(req):
         "crop_origin": list(region.origin),
         "crop_size": list(region.size),
         "nodule_voxels": int((m.labels == NODULE).sum()),
+        "eval_origin": list(evaluated.origin),
+        "eval_size": list(evaluated.size),
+        "eval_voxels": int(np.prod(evaluated.size)),
     }
     return EaasResult(full_volume=full_volume, full_layout=full_layout,
                       crop=region, patch=patch, provenance=provenance)

@@ -30,11 +30,25 @@ def _coeffs(s, t):
     return ab, sig
 
 
+# Receptive-field radius shared by every predictor, in voxels of
+# Chebyshev distance (see NoisePredictor).
+HALO = 3
+
+
 class NoisePredictor:
     """Interface: predict(x_t, t, c) -> predicted noise volume.
 
     ``eval_count`` increments by exactly one per predict call; samplers
     use it for NFE accounting.
+
+    Locality contract: the output at a voxel depends only on the input
+    volume and condition within ``HALO`` voxels of it (Chebyshev
+    distance), and the volume border acts the same as a zero-padded
+    crop edge.  A predictor run on a crop therefore reproduces, bit for
+    bit, the full-volume output at every crop voxel at least ``HALO``
+    voxels from a cut face; the per-step solver relies on this to
+    evaluate only the nodule region.  The tiny conv net has exactly
+    radius 3 (three 3^3 layers), the analytic predictor radius 0.
     """
 
     def __init__(self):

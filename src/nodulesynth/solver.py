@@ -9,11 +9,14 @@ Two families share one time grid:
   perturbation during the early sampling window.
 
 ``pulmonary_solve`` wraps the integrator with mask conditioning and
-per-step background re-imposition so only nodule voxels are synthesized.
+per-step background re-imposition so only nodule voxels are synthesized;
+with re-imposition it evaluates only the nodule region of the patch.
 
 NFE accounting (exact, per run): multistep integrator = steps + 1
 (one warm-up evaluation at the start node, then one evaluation at every
-node reached, including the terminal one); ancestral = steps.
+node reached, including the terminal one), plus one starter evaluation
+for dpm3 when steps > 1 (a single step goes straight to t=0 at first
+order); ancestral = steps.
 """
 
 import json
@@ -24,8 +27,8 @@ import numpy as np
 
 from .errors import SolverError
 from .forward import NoisyState, q_sample
-from .predictor import to_data_prediction
-from .volume import VoxelVolume
+from .predictor import HALO, to_data_prediction
+from .volume import CropRegion, VoxelVolume, crop, paste
 
 _METHOD_ORDER = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
 # Fraction of the training horizon above which the stochastic term of
@@ -302,9 +305,54 @@ def expected_nfe(method, steps):
     of the configuration."""
     if method == "ancestral":
         return steps
-    if method == "dpm3":
+    if method == "dpm3" and steps > 1:
         return steps + 2  # + the starter's midpoint evaluation
     return steps + 1
+
+
+def eval_region(m, cfg):
+    """The box of the patch that :func:`pulmonary_solve` evaluates.
+
+    In ``per_step`` mode every non-nodule voxel is re-imposed from the
+    reference after each update, so the nodule voxels see the rest of
+    the patch only through the predictor.  The box is the nodule
+    bounding box plus the predictor ``HALO`` for each evaluation
+    chained between two re-impositions (two in the dpm3 starter step,
+    one otherwise), clipped to the patch.  ``init_only`` mode and an
+    empty nodule mask use the whole patch.
+    """
+    nodule = m.nodule_mask()
+    if cfg.blend_mode != "per_step" or not nodule.any():
+        return CropRegion((0, 0, 0), m.dims)
+    margin = HALO * (2 if cfg.method == "dpm3" else 1)
+    idx = np.argwhere(nodule)
+    lo = np.maximum(idx.min(axis=0) - margin, 0)
+    hi = np.minimum(idx.max(axis=0) + 1 + margin, m.dims)
+    return CropRegion(lo, hi - lo)
+
+
+class _RegionNoise:
+    """Generator view that draws standard normals at full-patch shape
+    and returns the part inside ``region``.
+
+    The generator advances exactly as in a full-patch solve, so every
+    drawn value inside the region matches it bit for bit.  ``last``
+    keeps the most recent full draw.
+    """
+
+    def __init__(self, rng, dims, region):
+        self._rng = rng
+        self._dims = dims
+        self._region = region
+        self.last = None
+
+    def standard_normal(self, size):
+        if tuple(size) != self._region.size:
+            raise ValueError(
+                f"draw of shape {tuple(size)} != region size "
+                f"{self._region.size}")
+        self.last = self._rng.standard_normal(self._dims)
+        return self.last[self._region.slices()]
 
 
 def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
@@ -316,6 +364,11 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     reference diffused to the current level (exactly the reference
     itself at t=0); in ``init_only`` mode the mix happens only at
     initialization.  Returns the clean volume.
+
+    The sampler runs on the :func:`eval_region` box only.  Noise is
+    drawn at full-patch shape and cut to the box, and the result is the
+    box pasted into the reference diffused to t=0 with the last draw, so
+    the output is bit-identical to sampling the whole patch.
     """
     if x_ref.dims != x_init.x_t.dims or m.dims != x_ref.dims:
         raise ValueError(
@@ -326,31 +379,38 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
         raise ValueError(
             f"cfg.t_start={t_start} != initial state t={x_init.t}")
     grid = make_time_grid(s, cfg)
-    nodule = m.nodule_mask()
+    region = eval_region(m, cfg)
+    noise = _RegionNoise(rng, x_ref.dims, region)
+    c = crop(m, region)
+    x = crop(x_init.x_t, region)
 
     blend = None
     if cfg.blend_mode == "per_step":
+        ref = crop(x_ref, region)
+        nodule = c.nodule_mask()
+
         def blend(x_data, t_lo):
-            eps = VoxelVolume(rng.standard_normal(x_ref.dims), x_ref.spacing)
-            bg = q_sample(x_ref, t_lo, eps, s)
+            eps = VoxelVolume(noise.standard_normal(region.size), ref.spacing)
+            bg = q_sample(ref, t_lo, eps, s)
             return np.where(nodule, x_data, bg.x_t.data)
 
     if cfg.method == "ancestral":
-        x = x_init.x_t
         for i in range(1, len(grid)):
             t_hi, t_lo = int(grid.ts[i - 1]), int(grid.ts[i])
-            x = ancestral_step(x, t_hi, t_lo, p, m, rng, s)
-            x = hybrid_noise(x, t_lo, t_hi - t_lo, cfg.gamma, rng, s)
+            x = ancestral_step(x, t_hi, t_lo, p, c, noise, s)
+            x = hybrid_noise(x, t_lo, t_hi - t_lo, cfg.gamma, noise, s)
             if blend is not None:
                 x = VoxelVolume(blend(x.data, t_lo), x.spacing)
             if not np.all(np.isfinite(x.data)):
                 raise SolverError(
                     f"non-finite state after step {i} (t {t_hi} -> {t_lo})")
+    else:
+        x = dpm_solve(x, grid, _METHOD_ORDER[cfg.method], p, c, s, rng=noise,
+                      gamma=cfg.gamma, blend=blend)
+    if blend is None:
         return x
-
-    order = _METHOD_ORDER[cfg.method]
-    return dpm_solve(x_init.x_t, grid, order, p, m, s, rng=rng,
-                     gamma=cfg.gamma, blend=blend)
+    bg = q_sample(x_ref, 0, VoxelVolume(noise.last, x_ref.spacing), s)
+    return paste(bg.x_t, x, region)
 
 
 def write_step_log(entries, path):

@@ -79,6 +79,29 @@ def test_sample_analytic_and_verifier(workdir):
         assert vol.dims == (24, 24, 24)
 
 
+def test_sample_init_only(workdir):
+    # init_only never re-imposes the background, so voxels outside the
+    # nodule may change; only the volume outside the crop is pinned.
+    cfg = json.loads((workdir / "cfg.json").read_text())
+    cfg["solver"]["blend_mode"] = "init_only"
+    (workdir / "init_only.json").write_text(json.dumps(cfg))
+    assert main(["sample", "--config", str(workdir / "init_only.json"),
+                 "--reference", str(workdir / "data" / "ph0.vol.ldpv"),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--analytic", "--out-prefix", str(workdir / "io" / "s")]) == 0
+    ref = read_volume(workdir / "data" / "ph0.vol.ldpv")
+    vol = read_volume(workdir / "io" / "s_0000.vol.ldpv")
+    lay = read_layout(workdir / "io" / "s_0000.lay.ldpv")
+    prov = json.loads((workdir / "io" / "s_0000.json").read_text())
+    changed = vol.data != ref.data
+    assert np.any(changed & ~lay.nodule_mask())
+    inside = np.zeros(ref.dims, dtype=bool)
+    inside[tuple(slice(o, o + n) for o, n in
+                 zip(prov["crop_origin"], prov["crop_size"]))] = True
+    assert not np.any(changed & ~inside)
+    assert prov["eval_size"] == prov["crop_size"]
+
+
 def test_train_then_sample(workdir):
     assert main(["train", "--config", str(workdir / "cfg.json"),
                  "--data-dir", str(workdir / "data"),

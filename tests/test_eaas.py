@@ -73,6 +73,14 @@ def test_provenance_fields(phantom, cosine1000, tmp_path):
     assert prov["nfe"] == 11
     assert prov["nodule_voxels"] == int(res.full_layout.nodule_mask().sum())
     assert prov["wall_time_s"] > 0
+    # The evaluated region lies in the crop and holds every nodule voxel.
+    lo = np.array(prov["eval_origin"])
+    hi = lo + prov["eval_size"]
+    assert prov["eval_voxels"] == int(np.prod(prov["eval_size"]))
+    assert np.all(hi <= prov["crop_size"])
+    idx = np.argwhere(res.full_layout.nodule_mask()) - prov["crop_origin"]
+    assert np.all(idx >= lo) and np.all(idx < hi)
+    assert prov["eval_voxels"] < np.prod(prov["crop_size"])
     write_provenance(res, tmp_path / "prov.json")
     assert json.loads((tmp_path / "prov.json").read_text())["seed"] == 5
 
