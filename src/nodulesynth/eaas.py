@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PlacementError
+from .errors import NoduleSynthError, PlacementError
 from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
@@ -131,8 +131,10 @@ def run_batch(requests, parallelism=1):
     """Run independent requests, order-aligned with the input.
 
     Each item is identical to a standalone :func:`run_eaas` with the
-    same seed regardless of ``parallelism``; per-request failures are
-    captured in the item instead of aborting the batch.
+    same seed regardless of ``parallelism``; per-request failures
+    (``NoduleSynthError`` or ``ValueError``) are captured in the item
+    instead of aborting the batch.  Any other exception is a bug and
+    propagates.
     """
     requests = list(requests)
     if parallelism < 1:
@@ -141,7 +143,7 @@ def run_batch(requests, parallelism=1):
     def one(req):
         try:
             return BatchItem(request=req, result=run_eaas(req))
-        except Exception as err:  # noqa: BLE001 - reported per item
+        except (NoduleSynthError, ValueError) as err:
             return BatchItem(request=req, error=f"{type(err).__name__}: {err}")
 
     if parallelism == 1 or len(requests) <= 1:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SolverError
 from .forward import NoisyState, q_sample
-from .predictor import HALO, to_data_prediction
+from .predictor import HALO
 from .volume import CropRegion, VoxelVolume, crop, paste
 
 _METHOD_ORDER = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
@@ -209,19 +209,22 @@ def ancestral_step(x_t, t_hi, t_lo, p, c, rng, s):
 
     Posterior mean from the predicted clean volume plus sigma-scaled
     fresh noise; no noise is added on the final step to t_lo = 0.
+    Raises SolverError on a non-finite result.
     """
     if t_lo >= t_hi:
         raise ValueError(f"need t_hi > t_lo, got {t_hi} <= {t_lo}")
     eps_hat = p.predict(x_t, t_hi, c)
-    x0_hat = to_data_prediction(eps_hat, x_t, t_hi, s)
-    ab_hi, _, _ = s.coefficients_at(int(t_hi))
+    ab_hi, sig_hi, _ = s.coefficients_at(int(t_hi))
     ab_lo, _, _ = s.coefficients_at(int(t_lo))
+    x0_hat = (x_t.data - sig_hi * eps_hat.data) / math.sqrt(ab_hi)
     a = ab_hi / ab_lo
     mean = (math.sqrt(a) * (1.0 - ab_lo) * x_t.data
-            + math.sqrt(ab_lo) * (1.0 - a) * x0_hat.data) / (1.0 - ab_hi)
+            + math.sqrt(ab_lo) * (1.0 - a) * x0_hat) / (1.0 - ab_hi)
     if t_lo > 0:
         var = (1.0 - a) * (1.0 - ab_lo) / (1.0 - ab_hi)
         mean = mean + math.sqrt(var) * rng.standard_normal(x_t.dims)
+    if not np.all(np.isfinite(mean)):
+        raise SolverError(f"non-finite state after step t {t_hi} -> {t_lo}")
     return VoxelVolume(mean, x_t.spacing)
 
 
@@ -401,9 +404,6 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
             x = hybrid_noise(x, t_lo, t_hi - t_lo, cfg.gamma, noise, s)
             if blend is not None:
                 x = VoxelVolume(blend(x.data, t_lo), x.spacing)
-            if not np.all(np.isfinite(x.data)):
-                raise SolverError(
-                    f"non-finite state after step {i} (t {t_hi} -> {t_lo})")
     else:
         x = dpm_solve(x, grid, _METHOD_ORDER[cfg.method], p, c, s, rng=noise,
                       gamma=cfg.gamma, blend=blend)

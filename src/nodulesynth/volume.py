@@ -39,7 +39,8 @@ class VoxelVolume:
     spacing: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        # A read-only view: no copy, and the caller's array stays writable.
+        data = np.asarray(self.data, dtype=np.float64).view()
         if data.ndim != 3:
             raise ValueError(f"volume data must be 3D, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
@@ -64,7 +65,7 @@ class SemanticLayout:
     spacing: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.uint8)
+        labels = np.asarray(self.labels, dtype=np.uint8).view()
         if labels.ndim != 3:
             raise ValueError(f"layout labels must be 3D, got shape {labels.shape}")
         if labels.size and labels.max() > NODULE:

@@ -5,7 +5,7 @@ import pytest
 
 from nodulesynth.eaas import (BatchItem, EaasRequest, run_batch, run_eaas,
                               write_provenance)
-from nodulesynth.predictor import AnalyticGaussianPredictor
+from nodulesynth.predictor import AnalyticGaussianPredictor, NoisePredictor
 from nodulesynth.solver import SolverConfig
 from nodulesynth.volume import SemanticLayout, VoxelVolume, make_phantom
 
@@ -109,6 +109,20 @@ def test_run_batch_captures_failures(phantom, cosine1000):
     assert items[0].error is not None and "SearchExhaustedError" in items[0].error
     assert items[0].result is None
     assert items[1].error is None
+
+
+class _BuggyPredictor(NoisePredictor):
+    def _predict(self, x_t, t, c):
+        raise TypeError("planted bug")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_batch_propagates_programming_errors(phantom, cosine1000,
+                                                 parallelism):
+    reqs = [_request(phantom, cosine1000, seed=s,
+                     predictor=_BuggyPredictor()) for s in (0, 1)]
+    with pytest.raises(TypeError, match="planted bug"):
+        run_batch(reqs, parallelism=parallelism)
 
 
 def test_run_batch_validation(phantom, cosine1000):

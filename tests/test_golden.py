@@ -4,8 +4,10 @@ The hashes pin the exact output bytes, so a refactor or speed-up of the
 sampling path that changes any bit of any result fails here.  Rerunning
 one build twice (the determinism checks elsewhere) cannot show that.
 The values were recorded with the full-patch per-step solver, on
-x86-64 with numpy's own einsum loops; another numpy build or CPU may
-round differently and need them re-recorded from a known-good commit.
+x86-64, with a conv forward pass that multiplies each kernel tap with
+numpy's own einsum loop (never BLAS) and sums the taps in a fixed
+order; another numpy build or CPU may round differently and need them
+re-recorded from a known-good commit.
 """
 
 import hashlib

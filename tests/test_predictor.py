@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from nodulesynth.errors import FormatError
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (Adam, AnalyticGaussianPredictor,
                                    TinyConvPredictor, _conv3d,
-                                   _conv3d_backward, _flatten_grads,
+                                   _conv3d_grad_w, _conv3d_grad_x,
+                                   _flatten_grads,
                                    _time_embedding, to_data_prediction, train,
                                    train_step, write_loss_curve)
 from nodulesynth.volume import SemanticLayout, VoxelVolume
@@ -76,7 +79,7 @@ def test_conv3d_backward_finite_difference(rng):
     x = rng.standard_normal((2, 4, 4, 4))
     w = rng.standard_normal((2, 2, 3, 3, 3)) * 0.3
     gout = rng.standard_normal((2, 4, 4, 4))
-    gx, gw = _conv3d_backward(x, w, gout)
+    gx, gw = _conv3d_grad_x(w, gout), _conv3d_grad_w(x, gout)
     h = 1e-6
 
     def loss(xv, wv):
@@ -92,6 +95,91 @@ def test_conv3d_backward_finite_difference(rng):
         wm = w.copy(); wm[idx] -= h
         num = (loss(x, wp) - loss(x, wm)) / (2 * h)
         assert num == pytest.approx(gw[idx], rel=1e-5, abs=1e-8)
+
+
+def _einsum_conv3d(x, w, b=None):
+    """Reference kernel: one einsum per tap over shifted 4-D views of the
+    padded input, accumulated in (dz, dy, dx) order."""
+    _, Z, Y, X = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    out = np.zeros((w.shape[0], Z, Y, X))
+    for dz in range(3):
+        for dy in range(3):
+            for dx in range(3):
+                out += np.einsum("oi,izyx->ozyx", w[:, :, dz, dy, dx],
+                                 xp[:, dz:dz + Z, dy:dy + Y, dx:dx + X])
+    if b is not None:
+        out += b[:, None, None, None]
+    return out
+
+
+def _einsum_conv3d_backward(x, w, gout):
+    """Reference gradients of _einsum_conv3d w.r.t. input and weights."""
+    _, Z, Y, X = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for dz in range(3):
+        for dy in range(3):
+            for dx in range(3):
+                patch = xp[:, dz:dz + Z, dy:dy + Y, dx:dx + X]
+                gw[:, :, dz, dy, dx] = np.einsum("ozyx,izyx->oi", gout, patch)
+                gxp[:, dz:dz + Z, dy:dy + Y, dx:dx + X] += np.einsum(
+                    "oi,ozyx->izyx", w[:, :, dz, dy, dx], gout)
+    return gxp[:, 1:-1, 1:-1, 1:-1], gw
+
+
+channels_st = st.sampled_from([1, 2, 8])
+conv_dims_st = st.tuples(*[st.integers(1, 7)] * 3)
+
+
+# 20 x 21 x 22 spans more than one flat block of the conv loops.
+@settings(max_examples=40, deadline=None)
+@given(cin=channels_st, cout=channels_st, dims=conv_dims_st,
+       bias=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(cin=8, cout=8, dims=(20, 21, 22), bias=True, seed=0)
+def test_conv3d_bit_identical_to_einsum_oracle(cin, cout, dims, bias, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((cin,) + dims)
+    w = rng.standard_normal((cout, cin, 3, 3, 3))
+    b = rng.standard_normal(cout) if bias else None
+    out = _conv3d(x, w, b)
+    assert out.shape == (cout,) + dims
+    assert np.array_equal(out, _einsum_conv3d(x, w, b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cin=channels_st, cout=channels_st, dims=conv_dims_st,
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(cin=8, cout=1, dims=(20, 21, 22), seed=0)
+def test_conv3d_gradients_match_oracle_and_finite_differences(cin, cout, dims,
+                                                              seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((cin,) + dims)
+    w = rng.standard_normal((cout, cin, 3, 3, 3))
+    gout = rng.standard_normal((cout,) + dims)
+    gx, gw = _conv3d_grad_x(w, gout), _conv3d_grad_w(x, gout)
+    gx_ref, gw_ref = _einsum_conv3d_backward(x, w, gout)
+    for got, ref in ((gx, gx_ref), (gw, gw_ref)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # The loss is linear in x and in w, so central differences are exact
+    # up to rounding.
+    def loss(xv, wv):
+        return float(np.sum(_conv3d(xv, wv) * gout))
+
+    h = 1e-3
+    for arr, grad in ((x, gx), (w, gw)):
+        idx = tuple(int(rng.integers(s)) for s in arr.shape)
+        orig = arr[idx]
+        arr[idx] = orig + h
+        lp = loss(x, w)
+        arr[idx] = orig - h
+        lm = loss(x, w)
+        arr[idx] = orig
+        assert (lp - lm) / (2 * h) == pytest.approx(grad[idx], rel=1e-6,
+                                                   abs=1e-8)
 
 
 def test_time_embedding_properties():

@@ -225,6 +225,19 @@ def test_solver_error_on_nonfinite(cosine1000, rng):
                   None, cosine1000)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_ancestral_solve_raises_solver_error_on_nonfinite(
+        cosine1000, rng, small_layout, gamma):
+    x_ref = VoxelVolume(rng.standard_normal((8, 8, 8)))
+    init = q_sample(x_ref, 1000,
+                    VoxelVolume(rng.standard_normal((8, 8, 8))), cosine1000)
+    cfg = SolverConfig(method="ancestral", steps=5, gamma=gamma)
+    with pytest.raises(SolverError, match="non-finite"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        pulmonary_solve(init, x_ref, small_layout, _ExplodingPredictor(), cfg,
+                        rng, cosine1000)
+
+
 def test_blend_called_every_step(cosine1000, rng):
     p = AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
     grid = make_time_grid(cosine1000, SolverConfig(steps=8))

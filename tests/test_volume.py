@@ -40,6 +40,20 @@ def test_volume_data_readonly(small_volume):
         small_volume.data[0, 0, 0] = 1.0
 
 
+def test_wrapping_leaves_callers_array_writable():
+    data = np.zeros((2, 2, 2))
+    labels = np.zeros((2, 2, 2), dtype=np.uint8)
+    v, lay = VoxelVolume(data), SemanticLayout(labels)
+    # Still no copy: the wrappers share the caller's memory.
+    assert np.shares_memory(v.data, data)
+    assert np.shares_memory(lay.labels, labels)
+    data[0, 0, 0] = 1.0
+    labels[0, 0, 0] = 2
+    for frozen in (v.data, lay.labels):
+        with pytest.raises(ValueError):
+            frozen[1, 1, 1] = 1
+
+
 def test_crop_region_validation():
     with pytest.raises(ValueError):
         CropRegion((-1, 0, 0), (2, 2, 2))
