@@ -157,15 +157,16 @@ def cmd_train(args):
 def _verify_fusion_locality(result, reference, blend_mode):
     """Every mode leaves the volume outside the crop untouched; only
     ``per_step`` re-imposes the background, so only it promises that no
-    voxel outside the nodule mask changes."""
+    voxel outside the nodule mask changes.  Voxels compare bit for bit,
+    so a -0.0 that turns into +0.0 counts as a change."""
+    changed = (result.full_volume.data.view(np.uint64)
+               != reference.data.view(np.uint64))
     outside = np.ones(reference.dims, dtype=bool)
     outside[result.crop.slices()] = False
-    if not np.array_equal(result.full_volume.data[outside],
-                          reference.data[outside]):
+    if np.any(changed & outside):
         raise NoduleSynthError("fusion locality violated outside the crop")
     if blend_mode != "per_step":
         return
-    changed = result.full_volume.data != reference.data
     if np.any(changed & ~result.full_layout.nodule_mask()):
         raise NoduleSynthError("voxels outside the nodule mask were modified")
 

@@ -20,7 +20,8 @@ from .errors import NoduleSynthError, PlacementError
 from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
-from .solver import SolverConfig, eval_region, expected_nfe, pulmonary_solve
+from .solver import (SolverConfig, counted_request, eval_region, expected_nfe,
+                     pulmonary_solve)
 from .volume import NODULE, SemanticLayout, VoxelVolume, crop, paste
 
 _PLACEMENT_RETRIES = 25
@@ -65,6 +66,7 @@ def _default_layout_cfg(req):
     return LayoutConfig(max_diameter_mm=0.8 * patch_mm)
 
 
+@counted_request()
 def run_eaas(req):
     """Execute one synthesis request; deterministic given the seed when
     gamma = 0."""

@@ -105,25 +105,31 @@ _BLOCK = 8192  # flat voxels per block: a block's 27 taps stay in L2 cache
 
 def _flat_layout(a):
     """Zero-pad a (C, Z, Y, X) array by one voxel per face and flatten
-    its spatial axes.  Voxel (z, y, x) then sits at q = z*S1 + y*S2 + x,
-    S1 = (Y+2)(X+2), S2 = X+2, and kernel tap (dz, dy, dx) reads the
-    slice at q + dz*S1 + dy*S2 + dx.  Returns the (C, L) array, the 27
-    tap offsets in (dz, dy, dx) order and the length of the run of q
-    that covers every voxel, pad columns included."""
-    _, Z, Y, X = a.shape
-    s1, s2 = (Y + 2) * (X + 2), X + 2
+    its spatial axes.  Returns the (C, L) array and (Z, Y, X); voxel
+    (z, y, x) sits at q = z*S1 + y*S2 + x, S1 = (Y+2)(X+2), S2 = X+2."""
     flat = np.pad(a, ((0, 0), (1, 1), (1, 1), (1, 1))).reshape(a.shape[0], -1)
+    return flat, a.shape[1:]
+
+
+def _taps(dims):
+    """The 27 tap offsets of a flat layout of ``dims`` in (dz, dy, dx)
+    order (tap (dz, dy, dx) of voxel q reads q + dz*S1 + dy*S2 + dx) and
+    the length of the run of q that covers every voxel, pad columns
+    included."""
+    Z, Y, X = dims
+    s1, s2 = (Y + 2) * (X + 2), X + 2
     offsets = [dz * s1 + dy * s2 + dx for dz, dy, dx in np.ndindex(3, 3, 3)]
-    return flat, offsets, (Z - 1) * s1 + (Y - 1) * s2 + X
+    return offsets, (Z - 1) * s1 + (Y - 1) * s2 + X
 
 
-def _correlate(x, w, product):
-    """Same-padded 3^3 correlation of x (Cin, Z, Y, X) with w (Cout, Cin,
-    3, 3, 3); ``product(w_k, slice)`` multiplies one tap's (Cout, Cin)
-    matrix into a (Cin, L) slice.  Each voxel sums its taps in (dz, dy,
-    dx) order, starting from zero, and the pad columns are dropped."""
-    _, Z, Y, X = x.shape
-    xf, offsets, n = _flat_layout(x)
+def _correlate(layout, w, product):
+    """Same-padded 3^3 correlation of a flat layout of x (Cin, Z, Y, X)
+    with w (Cout, Cin, 3, 3, 3); ``product(w_k, slice)`` multiplies one
+    tap's (Cout, Cin) matrix into a (Cin, L) slice.  Each voxel sums its
+    taps in (dz, dy, dx) order, starting from zero, and the pad columns
+    are dropped."""
+    xf, (Z, Y, X) = layout
+    offsets, n = _taps((Z, Y, X))
     wk = np.ascontiguousarray(w.reshape(*w.shape[:2], -1).transpose(2, 0, 1))
     out = np.zeros((w.shape[0], Z * (Y + 2) * (X + 2)))
     for lo in range(0, n, _BLOCK):
@@ -133,15 +139,16 @@ def _correlate(x, w, product):
     return out.reshape(-1, Z, Y + 2, X + 2)[:, :, :Y, :X].copy()
 
 
-def _conv3d(x, w, b=None):
-    """Same-padded 3^3 convolution.  x: (Cin, Z, Y, X), w: (Cout, Cin, 3, 3, 3).
+def _conv3d(layout, w, b=None):
+    """Same-padded 3^3 convolution of the input x (Cin, Z, Y, X) given as
+    ``_flat_layout(x)``; w: (Cout, Cin, 3, 3, 3).
 
     Every tap is numpy's own einsum loop, never BLAS, whose blocking and
     FMA round differently: the output is bit-identical to 27
     ``einsum("oi,izyx->ozyx")`` calls on shifted views of the padded
     input, so inference bytes (pinned by golden hashes) do not change.
     """
-    out = _correlate(x, w, partial(np.einsum, "oi,il->ol"))
+    out = _correlate(layout, w, partial(np.einsum, "oi,il->ol"))
     if b is not None:
         out += b[:, None, None, None]
     return out
@@ -157,28 +164,26 @@ def _conv3d_grad_x(w, gout):
     """Gradient of _conv3d w.r.t. its input, on BLAS: gout correlated
     with the channel-transposed, spatially flipped kernel."""
     flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-    return _correlate(gout, flipped, _blas_product)
+    return _correlate(_flat_layout(gout), flipped, _blas_product)
 
 
-def _conv3d_grad_w(x, gout):
-    """Gradient of _conv3d w.r.t. its weights, on BLAS."""
-    xf, offsets, n = _flat_layout(x)
+def _conv3d_grad_w(layout, gout):
+    """Gradient of _conv3d w.r.t. its weights, on BLAS, from the flat
+    layout of the input the forward pass already built."""
+    xf, dims = layout
+    offsets, n = _taps(dims)
     # gout at its voxels' q, zero in the pad columns.
     g = np.pad(gout, ((0, 0), (0, 0), (0, 2), (0, 2))).reshape(len(gout), -1)
-    gw = np.zeros((len(offsets), len(gout), len(x)))
+    gw = np.zeros((len(offsets), len(gout), len(xf)))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         for gw_k, off in zip(gw, offsets):
             gw_k += g[:, lo:hi] @ xf[:, lo + off:hi + off].T
-    return gw.transpose(1, 2, 0).reshape(len(gout), len(x), _K, _K, _K)
+    return gw.transpose(1, 2, 0).reshape(len(gout), len(xf), _K, _K, _K)
 
 
-def _silu(z):
-    return z * expit(z)
-
-
-def _silu_grad(z):
-    s = expit(z)
+def _silu_grad(z, s):
+    """Derivative of SiLU z * expit(z), given s = expit(z)."""
     return s * (1.0 + z * (1.0 - s))
 
 
@@ -239,26 +244,30 @@ class TinyConvPredictor(NoisePredictor):
 
     def _forward(self, x_t_data, mask_data, t):
         p = self.params
-        x = np.stack([x_t_data, mask_data.astype(np.float64)])
-        z1 = _conv3d(x, p["w1"], p["b1"])
+        # The backward pass reuses each layer's flat input layout and
+        # each SiLU's expit from the cache.
+        fx = _flat_layout(np.stack([x_t_data, mask_data.astype(np.float64)]))
+        z1 = _conv3d(fx, p["w1"], p["b1"])
         z1 = z1 + _time_embedding(t)[:, None, None, None]
-        a1 = _silu(z1)
-        z2 = _conv3d(a1, p["w2"], p["b2"])
-        a2 = _silu(z2)
-        out = _conv3d(a2, p["w3"])
-        cache = (x, z1, a1, z2, a2)
+        s1 = expit(z1)
+        fa1 = _flat_layout(z1 * s1)
+        z2 = _conv3d(fa1, p["w2"], p["b2"])
+        s2 = expit(z2)
+        fa2 = _flat_layout(z2 * s2)
+        out = _conv3d(fa2, p["w3"])
+        cache = (fx, z1, s1, fa1, z2, s2, fa2)
         return out[0], cache
 
     def _backward(self, gout, cache):
         p = self.params
-        x, z1, a1, z2, a2 = cache
+        fx, z1, s1, fa1, z2, s2, fa2 = cache
         g = gout[None]
-        gw3 = _conv3d_grad_w(a2, g)
-        gz2 = _conv3d_grad_x(p["w3"], g) * _silu_grad(z2)
-        gw2 = _conv3d_grad_w(a1, gz2)
+        gw3 = _conv3d_grad_w(fa2, g)
+        gz2 = _conv3d_grad_x(p["w3"], g) * _silu_grad(z2, s2)
+        gw2 = _conv3d_grad_w(fa1, gz2)
         gb2 = gz2.sum(axis=(1, 2, 3))
-        gz1 = _conv3d_grad_x(p["w2"], gz2) * _silu_grad(z1)
-        gw1 = _conv3d_grad_w(x, gz1)
+        gz1 = _conv3d_grad_x(p["w2"], gz2) * _silu_grad(z1, s1)
+        gw1 = _conv3d_grad_w(fx, gz1)
         gb1 = gz1.sum(axis=(1, 2, 3))
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3}
 

@@ -17,11 +17,25 @@ NFE accounting (exact, per run): multistep integrator = steps + 1
 node reached, including the terminal one), plus one starter evaluation
 for dpm3 when steps > 1 (a single step goes straight to t=0 at first
 order); ancestral = steps.
+
+Noise accounting (exact, per ``pulmonary_solve``): every step that ends
+at t_lo > 0 makes one full-patch standard-normal draw for the ancestral
+step (ancestral only), one for the hybrid perturbation (gamma > 0 and
+t_lo > 0.7 * T) and one for the background blend (``per_step`` only).
+The step that ends at t = 0 draws nothing: the ancestral step adds no
+noise there, the hybrid window is closed, and the background is the
+reference itself.  :func:`noise_draws` is that count.  The draws run
+one step ahead on a worker thread while a core is idle for it (see
+:func:`counted_request`), else on demand; the values are the same.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,6 +208,8 @@ def _singlestep_order2(x, x0_s, i, grid, p, c, s, spacing):
 
     u = ((sig_m / sig_s) * x
          - math.sqrt(ab_m) * (math.exp(-0.5 * h) - 1.0) * x0_s)
+    if not np.all(np.isfinite(u)):
+        raise SolverError(f"non-finite midpoint state at step {i}")
     eps_m = p.predict(VoxelVolume(u, spacing), t_m, c)
     x0_m = (u - sig_m * eps_m.data) / math.sqrt(ab_m)
 
@@ -286,6 +302,9 @@ def dpm_solve(x_init, grid, order, p, c, s, rng=None, gamma=0.0,
             x = dpm_update(x, history, grid, i, order_used)
         t_lo, t_hi = grid.ts[i], grid.ts[i - 1]
         if gamma > 0:
+            if not np.all(np.isfinite(x)):
+                raise SolverError(
+                    f"non-finite state after step {i} (t {t_hi} -> {t_lo})")
             x = hybrid_noise(VoxelVolume(x, spacing), t_lo, t_hi - t_lo,
                              gamma, rng, s).data
         if blend is not None:
@@ -334,28 +353,98 @@ def eval_region(m, cfg):
     return CropRegion(lo, hi - lo)
 
 
+def noise_draws(grid, cfg, s):
+    """Full-patch standard-normal draws one :func:`pulmonary_solve` on
+    ``grid`` makes (see the module docstring)."""
+    count = 0
+    for t_lo in grid.ts[1:].tolist():
+        if t_lo > 0:
+            count += ((cfg.method == "ancestral")
+                      + (cfg.gamma > 0 and t_lo > HYBRID_WINDOW_FRAC * s.T)
+                      + (cfg.blend_mode == "per_step"))
+    return count
+
+
+# Long-lived, so solves reuse the same threads (and their malloc arenas);
+# at most half the cores' requests draw ahead (see counted_request).
+_CORES = os.cpu_count() or 1
+_DRAWS = ThreadPoolExecutor(max_workers=max(1, _CORES // 2),
+                            thread_name_prefix="nodulesynth-noise")
+_requests = 0  # threads inside a counted_request block
+_requests_lock = threading.Lock()
+
+
+@contextmanager
+def counted_request():
+    """Count the calling thread as running a synthesis request for the
+    block (also usable as a decorator).
+
+    A solve draws its noise ahead only while a core is idle for it:
+    while twice the number of running requests (one core for each
+    request, one for its draws) fits in ``os.cpu_count()``.  With every
+    core busy, as in a parallel batch, a worker thread would only add
+    thread switches, so each draw runs on the caller.
+    """
+    global _requests
+    with _requests_lock:
+        _requests += 1
+    try:
+        yield
+    finally:
+        with _requests_lock:
+            _requests -= 1
+
+
 class _RegionNoise:
     """Generator view that draws standard normals at full-patch shape
     and returns the part inside ``region``.
 
-    The generator advances exactly as in a full-patch solve, so every
-    drawn value inside the region matches it bit for bit.  ``last``
-    keeps the most recent full draw.
+    The ``count`` full draws run one ahead of the caller on a worker
+    thread when a core is idle (see :func:`counted_request`): the next
+    starts when the previous one is taken, so it overlaps the predictor
+    evaluations in between.  A draw the worker has not started when it
+    is needed (no idle core, a busy worker, a forked child) runs on the
+    caller instead.  Either way they are the same calls on the same
+    generator in the same order, so every value matches bit for bit.
+    At most one draw is in flight, so the generator is never used by two
+    threads at once; :meth:`close` waits for it.
     """
 
-    def __init__(self, rng, dims, region):
+    def __init__(self, rng, dims, region, count):
         self._rng = rng
         self._dims = dims
         self._region = region
-        self.last = None
+        self._left = count
+        self._next = None
+        self._submit()
+
+    def _submit(self):
+        if self._left:
+            self._left -= 1
+            idle_core = 2 * max(_requests, 1) <= _CORES
+            self._next = (_DRAWS.submit(self._rng.standard_normal, self._dims)
+                          if idle_core else Future())
 
     def standard_normal(self, size):
         if tuple(size) != self._region.size:
             raise ValueError(
                 f"draw of shape {tuple(size)} != region size "
                 f"{self._region.size}")
-        self.last = self._rng.standard_normal(self._dims)
-        return self.last[self._region.slices()]
+        if self._next is None:
+            raise RuntimeError("noise draw beyond the solver's noise plan")
+        if self._next.cancel():  # not started: draw here
+            draw = self._rng.standard_normal(self._dims)
+        else:
+            draw = self._next.result()
+        self._next = None
+        self._submit()
+        return draw[self._region.slices()]
+
+    def close(self):
+        """Cancel the next draw if it has not started, else wait for it."""
+        if self._next is not None and not self._next.cancel():
+            wait([self._next])
+        self._next = None
 
 
 def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
@@ -364,14 +453,17 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     Iterates the configured sampler down the time grid, passing the
     nodule layout as the predictor condition.  In ``per_step`` mode,
     non-nodule voxels are re-imposed after every update from the
-    reference diffused to the current level (exactly the reference
-    itself at t=0); in ``init_only`` mode the mix happens only at
-    initialization.  Returns the clean volume.
+    reference diffused to the current level (the reference itself at
+    t=0); in ``init_only`` mode the mix happens only at initialization.
+    Returns the clean volume.
 
     The sampler runs on the :func:`eval_region` box only.  Noise is
-    drawn at full-patch shape and cut to the box, and the result is the
-    box pasted into the reference diffused to t=0 with the last draw, so
-    the output is bit-identical to sampling the whole patch.
+    drawn at full-patch shape (one draw ahead on a worker thread while a
+    core is idle) and cut to the box; the result is the box pasted into
+    the reference, so the output is bit-identical to sampling the whole
+    patch.  When this returns or raises, no draw is in flight and
+    ``rng`` has advanced by at most :func:`noise_draws` full-patch draws
+    (exactly that many on return).
     """
     if x_ref.dims != x_init.x_t.dims or m.dims != x_ref.dims:
         raise ValueError(
@@ -383,7 +475,6 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
             f"cfg.t_start={t_start} != initial state t={x_init.t}")
     grid = make_time_grid(s, cfg)
     region = eval_region(m, cfg)
-    noise = _RegionNoise(rng, x_ref.dims, region)
     c = crop(m, region)
     x = crop(x_init.x_t, region)
 
@@ -393,24 +484,27 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
         nodule = c.nodule_mask()
 
         def blend(x_data, t_lo):
+            if t_lo == 0:
+                return np.where(nodule, x_data, ref.data)
             eps = VoxelVolume(noise.standard_normal(region.size), ref.spacing)
             bg = q_sample(ref, t_lo, eps, s)
             return np.where(nodule, x_data, bg.x_t.data)
 
-    if cfg.method == "ancestral":
-        for i in range(1, len(grid)):
-            t_hi, t_lo = int(grid.ts[i - 1]), int(grid.ts[i])
-            x = ancestral_step(x, t_hi, t_lo, p, c, noise, s)
-            x = hybrid_noise(x, t_lo, t_hi - t_lo, cfg.gamma, noise, s)
-            if blend is not None:
-                x = VoxelVolume(blend(x.data, t_lo), x.spacing)
-    else:
-        x = dpm_solve(x, grid, _METHOD_ORDER[cfg.method], p, c, s, rng=noise,
-                      gamma=cfg.gamma, blend=blend)
-    if blend is None:
-        return x
-    bg = q_sample(x_ref, 0, VoxelVolume(noise.last, x_ref.spacing), s)
-    return paste(bg.x_t, x, region)
+    noise = _RegionNoise(rng, x_ref.dims, region, noise_draws(grid, cfg, s))
+    try:
+        if cfg.method == "ancestral":
+            for i in range(1, len(grid)):
+                t_hi, t_lo = int(grid.ts[i - 1]), int(grid.ts[i])
+                x = ancestral_step(x, t_hi, t_lo, p, c, noise, s)
+                x = hybrid_noise(x, t_lo, t_hi - t_lo, cfg.gamma, noise, s)
+                if blend is not None:
+                    x = VoxelVolume(blend(x.data, t_lo), x.spacing)
+        else:
+            x = dpm_solve(x, grid, _METHOD_ORDER[cfg.method], p, c, s,
+                          rng=noise, gamma=cfg.gamma, blend=blend)
+    finally:
+        noise.close()
+    return x if blend is None else paste(x_ref, x, region)
 
 
 def write_step_log(entries, path):

@@ -1,11 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nodulesynth.cli import build_parser, load_config, main
-from nodulesynth.errors import ValidationError
-from nodulesynth.volume import read_layout, read_volume
+from nodulesynth.cli import (_verify_fusion_locality, build_parser,
+                             load_config, main)
+from nodulesynth.errors import NoduleSynthError, ValidationError
+from nodulesynth.volume import (CropRegion, VoxelVolume, read_layout,
+                                read_volume, write_volume)
 
 
 @pytest.fixture()
@@ -77,6 +80,39 @@ def test_sample_analytic_and_verifier(workdir):
             (workdir / "out" / f"s_{i:04d}.json").read_text())
         assert prov["nfe"] == 11
         assert vol.dims == (24, 24, 24)
+
+
+def test_sample_keeps_negative_zero_background(workdir):
+    # The verifier compares bits, so this exits 0 only if no -0.0 voxel
+    # of the reference comes back as +0.0.
+    ref = read_volume(workdir / "data" / "ph0.vol.ldpv")
+    data = ref.data.copy()
+    data[::2] = -0.0
+    write_volume(VoxelVolume(data, ref.spacing), workdir / "negzero.vol.ldpv")
+    assert main(["sample", "--config", str(workdir / "cfg.json"),
+                 "--reference", str(workdir / "negzero.vol.ldpv"),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--analytic", "--out-prefix", str(workdir / "nz" / "s")]) == 0
+    vol = read_volume(workdir / "nz" / "s_0000.vol.ldpv")
+    lay = read_layout(workdir / "nz" / "s_0000.lay.ldpv")
+    changed = vol.data.view(np.uint64) != data.view(np.uint64)
+    assert not np.any(changed & ~lay.nodule_mask())
+
+
+@pytest.mark.parametrize("where", ["outside_crop", "inside_crop"])
+def test_verifier_catches_sign_flip_of_zero(workdir, where):
+    ref = read_volume(workdir / "data" / "ph0.vol.ldpv")
+    lay = read_layout(workdir / "data" / "ph0.lay.ldpv")
+    data = ref.data.copy()
+    data[0, 0, 0] = data[12, 12, 12] = -0.0
+    flipped = data.copy()
+    flipped[(0, 0, 0) if where == "outside_crop" else (12, 12, 12)] = 0.0
+    result = SimpleNamespace(full_volume=VoxelVolume(flipped, ref.spacing),
+                             full_layout=lay,
+                             crop=CropRegion((4, 4, 4), (16, 16, 16)))
+    with pytest.raises(NoduleSynthError):
+        _verify_fusion_locality(result, VoxelVolume(data, ref.spacing),
+                                "per_step")
 
 
 def test_sample_init_only(workdir):

@@ -52,6 +52,21 @@ def test_run_eaas_locality(phantom, cosine1000):
                                   lay.labels[outside])
 
 
+@pytest.mark.parametrize("method", ["dpm2_multistep", "ancestral"])
+def test_run_eaas_keeps_negative_zero_background(phantom, cosine1000, method):
+    # The background at t = 0 is the reference itself, not ref + 0 * eps,
+    # which would turn every -0.0 voxel into +0.0.
+    vol, lay = phantom
+    data = vol.data.copy()
+    data[::2] = -0.0
+    ref = VoxelVolume(data, vol.spacing)
+    res = run_eaas(_request((ref, lay), cosine1000, seed=4,
+                            solver=SolverConfig(method=method, steps=10)))
+    changed = res.full_volume.data.view(np.uint64) != data.view(np.uint64)
+    assert changed.any()
+    assert not np.any(changed & ~res.full_layout.nodule_mask())
+
+
 def test_run_eaas_deterministic(phantom, cosine1000):
     a = run_eaas(_request(phantom, cosine1000, seed=9))
     b = run_eaas(_request(phantom, cosine1000, seed=9))

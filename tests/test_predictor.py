@@ -9,7 +9,7 @@ from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (Adam, AnalyticGaussianPredictor,
                                    TinyConvPredictor, _conv3d,
                                    _conv3d_grad_w, _conv3d_grad_x,
-                                   _flatten_grads,
+                                   _flat_layout, _flatten_grads,
                                    _time_embedding, to_data_prediction, train,
                                    train_step, write_loss_curve)
 from nodulesynth.volume import SemanticLayout, VoxelVolume
@@ -66,7 +66,7 @@ def test_conv3d_matches_scipy(rng):
     x = rng.standard_normal((3, 5, 6, 4))
     w = rng.standard_normal((2, 3, 3, 3, 3))
     b = rng.standard_normal(2)
-    out = _conv3d(x, w, b)
+    out = _conv3d(_flat_layout(x), w, b)
     expected = np.zeros((2, 5, 6, 4))
     for o in range(2):
         for i in range(3):
@@ -79,11 +79,11 @@ def test_conv3d_backward_finite_difference(rng):
     x = rng.standard_normal((2, 4, 4, 4))
     w = rng.standard_normal((2, 2, 3, 3, 3)) * 0.3
     gout = rng.standard_normal((2, 4, 4, 4))
-    gx, gw = _conv3d_grad_x(w, gout), _conv3d_grad_w(x, gout)
+    gx, gw = _conv3d_grad_x(w, gout), _conv3d_grad_w(_flat_layout(x), gout)
     h = 1e-6
 
     def loss(xv, wv):
-        return float(np.sum(_conv3d(xv, wv) * gout))
+        return float(np.sum(_conv3d(_flat_layout(xv), wv) * gout))
 
     for idx in [(0, 1, 2, 3), (1, 3, 0, 0)]:
         xp = x.copy(); xp[idx] += h
@@ -143,7 +143,7 @@ def test_conv3d_bit_identical_to_einsum_oracle(cin, cout, dims, bias, seed):
     x = rng.standard_normal((cin,) + dims)
     w = rng.standard_normal((cout, cin, 3, 3, 3))
     b = rng.standard_normal(cout) if bias else None
-    out = _conv3d(x, w, b)
+    out = _conv3d(_flat_layout(x), w, b)
     assert out.shape == (cout,) + dims
     assert np.array_equal(out, _einsum_conv3d(x, w, b))
 
@@ -158,7 +158,7 @@ def test_conv3d_gradients_match_oracle_and_finite_differences(cin, cout, dims,
     x = rng.standard_normal((cin,) + dims)
     w = rng.standard_normal((cout, cin, 3, 3, 3))
     gout = rng.standard_normal((cout,) + dims)
-    gx, gw = _conv3d_grad_x(w, gout), _conv3d_grad_w(x, gout)
+    gx, gw = _conv3d_grad_x(w, gout), _conv3d_grad_w(_flat_layout(x), gout)
     gx_ref, gw_ref = _einsum_conv3d_backward(x, w, gout)
     for got, ref in ((gx, gx_ref), (gw, gw_ref)):
         assert got.shape == ref.shape
@@ -167,7 +167,7 @@ def test_conv3d_gradients_match_oracle_and_finite_differences(cin, cout, dims,
     # The loss is linear in x and in w, so central differences are exact
     # up to rounding.
     def loss(xv, wv):
-        return float(np.sum(_conv3d(xv, wv) * gout))
+        return float(np.sum(_conv3d(_flat_layout(xv), wv) * gout))
 
     h = 1e-3
     for arr, grad in ((x, gx), (w, gw)):

@@ -38,12 +38,15 @@ class _ShapeRecorder(TinyConvPredictor):
 
 def _full_patch_solve(x_init, x_ref, m, p, cfg, rng, s):
     """Sample every voxel of the patch, re-imposing the background
-    after each step in ``per_step`` mode."""
+    (the reference itself at t = 0) after each step in ``per_step``
+    mode."""
     grid = make_time_grid(s, cfg)
     nodule = m.nodule_mask()
     blend = None
     if cfg.blend_mode == "per_step":
         def blend(x_data, t_lo):
+            if t_lo == 0:
+                return np.where(nodule, x_data, x_ref.data)
             eps = VoxelVolume(rng.standard_normal(x_ref.dims))
             return np.where(nodule, x_data,
                             q_sample(x_ref, t_lo, eps, s).x_t.data)
@@ -99,15 +102,17 @@ def test_region_solve_matches_full_patch_bitwise(case):
                       VoxelVolume(data_rng.standard_normal(m.dims)), s)
 
     p = _ShapeRecorder()
-    got = pulmonary_solve(x_init, x_ref, m, p, cfg,
-                          np.random.default_rng(seed), s)
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s)
     want = _full_patch_solve(x_init, x_ref, m, TinyConvPredictor(seed=0),
-                             cfg, np.random.default_rng(seed), s)
+                             cfg, want_rng, s)
 
     assert got.dims == m.dims
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
     assert p.eval_count == expected_nfe(cfg.method, cfg.steps)
     assert set(p.dims_seen) == {eval_region(m, cfg).size}
+    # Both consumed the same full-patch draws.
+    assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_region_is_nodule_box_plus_halo():

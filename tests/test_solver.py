@@ -238,6 +238,19 @@ def test_ancestral_solve_raises_solver_error_on_nonfinite(
                         rng, cosine1000)
 
 
+@pytest.mark.parametrize("method", ["dpm1", "dpm2_multistep", "dpm3"])
+def test_dpm_solve_raises_solver_error_on_nonfinite_with_hybrid_noise(
+        cosine1000, rng, small_layout, method):
+    x_ref = VoxelVolume(rng.standard_normal((8, 8, 8)))
+    init = q_sample(x_ref, 1000,
+                    VoxelVolume(rng.standard_normal((8, 8, 8))), cosine1000)
+    cfg = SolverConfig(method=method, steps=5, gamma=0.5)
+    with pytest.raises(SolverError, match="non-finite"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        pulmonary_solve(init, x_ref, small_layout, _ExplodingPredictor(), cfg,
+                        rng, cosine1000)
+
+
 def test_blend_called_every_step(cosine1000, rng):
     p = AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
     grid = make_time_grid(cosine1000, SolverConfig(steps=8))
