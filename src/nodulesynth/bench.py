@@ -80,6 +80,7 @@ class BenchReport:
     est_flops_chain: int
     peak_alloc_bytes: int
     trials: int
+    timed_dims: tuple
 
 
 def run_bench(cfg, n_trials=10, warmup=1):
@@ -125,7 +126,7 @@ def run_bench(cfg, n_trials=10, warmup=1):
         est_flops_per_eval=per_eval,
         est_flops_chain=per_eval * int(nfe),
         peak_alloc_bytes=int(max(peaks)),
-        trials=len(times))
+        trials=len(times), timed_dims=tuple(cfg.timed_dims or cfg.dims))
 
 
 def compare(reports, baseline=0, cost_ratio_threshold=None):
@@ -163,23 +164,26 @@ def write_report_csv(reports, path):
         writer = csv.writer(fh)
         writer.writerow(["config", "dims", "nfe", "est_flops_per_eval",
                          "est_flops_chain", "wall_mean_s", "wall_std_s",
-                         "peak_alloc_bytes", "trials"])
+                         "peak_alloc_bytes", "trials", "timed_dims"])
         for r in reports:
             writer.writerow([
                 r.config, "x".join(str(d) for d in r.dims), r.nfe,
                 r.est_flops_per_eval, r.est_flops_chain,
                 f"{r.wall_mean_s:.6f}", f"{r.wall_std_s:.6f}",
-                r.peak_alloc_bytes, r.trials])
+                r.peak_alloc_bytes, r.trials,
+                "x".join(str(d) for d in r.timed_dims)])
 
 
 def format_table(reports):
     """Human-readable aligned table."""
     headers = ["config", "dims", "nfe", "flops/eval", "flops/chain",
-               "wall mean (s)", "wall std", "peak alloc (B)", "trials"]
+               "wall mean (s)", "wall std", "peak alloc (B)", "trials",
+               "timed dims"]
     rows = [[r.config, "x".join(str(d) for d in r.dims), str(r.nfe),
              f"{r.est_flops_per_eval:.3e}", f"{r.est_flops_chain:.3e}",
              f"{r.wall_mean_s:.4f}", f"{r.wall_std_s:.4f}",
-             str(r.peak_alloc_bytes), str(r.trials)] for r in reports]
+             str(r.peak_alloc_bytes), str(r.trials),
+             "x".join(str(d) for d in r.timed_dims)] for r in reports]
     widths = [max(len(h), *(len(row[i]) for row in rows))
               for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]

@@ -8,7 +8,6 @@ rasterizes the ellipsoid at a random center inside lung-labeled
 regions.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,14 +169,3 @@ def pick_healthy_crop(layout, existing_nodules, size, rng, max_tries=1000,
         return region
     raise SearchExhaustedError(
         f"no nodule-free crop of size {size} found in {max_tries} attempts")
-
-
-def spec_log_entry(spec):
-    """JSON-lines record for a placed nodule spec."""
-    return json.dumps({
-        "class": spec.size_class,
-        "diameter_mm": spec.diameter_mm,
-        "center": list(spec.center) if spec.center is not None else None,
-        "semi_axes_mm": list(spec.semi_axes_mm),
-        "rotation": list(spec.rotation),
-    })

@@ -139,19 +139,7 @@ def _correlate(layout, w, product):
     return out.reshape(-1, Z, Y + 2, X + 2)[:, :, :Y, :X].copy()
 
 
-def _conv3d(layout, w, b=None):
-    """Same-padded 3^3 convolution of the input x (Cin, Z, Y, X) given as
-    ``_flat_layout(x)``; w: (Cout, Cin, 3, 3, 3).
-
-    Every tap is numpy's own einsum loop, never BLAS, whose blocking and
-    FMA round differently: the output is bit-identical to 27
-    ``einsum("oi,izyx->ozyx")`` calls on shifted views of the padded
-    input, so inference bytes (pinned by golden hashes) do not change.
-    """
-    out = _correlate(layout, w, partial(np.einsum, "oi,il->ol"))
-    if b is not None:
-        out += b[:, None, None, None]
-    return out
+_einsum_product = partial(np.einsum, "oi,il->ol")
 
 
 def _blas_product(a, b):
@@ -160,26 +148,41 @@ def _blas_product(a, b):
     return a * b if a.shape[1] == 1 else a @ b
 
 
-def _conv3d_grad_x(w, gout):
-    """Gradient of _conv3d w.r.t. its input, on BLAS: gout correlated
-    with the channel-transposed, spatially flipped kernel."""
+def _conv3d(layout, w, b=None, *, product):
+    """Same-padded 3^3 convolution of the input x (Cin, Z, Y, X) given as
+    ``_flat_layout(x)``; w: (Cout, Cin, 3, 3, 3).
+
+    Only inference bytes are pinned (golden hashes), so only inference
+    passes ``_einsum_product``: it is bit-identical to 27 shifted-view
+    ``einsum("oi,izyx->ozyx")`` calls, where BLAS blocking and FMA round
+    differently.  Training passes ``_blas_product``, as the backward does.
+    """
+    out = _correlate(layout, w, product)
+    if b is not None:
+        out += b[:, None, None, None]
+    return out
+
+
+def _conv3d_grad_x(w, glayout):
+    """Gradient of _conv3d w.r.t. its input from gout's flat layout, on
+    BLAS: gout correlated with the channel-transposed, flipped kernel."""
     flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-    return _correlate(_flat_layout(gout), flipped, _blas_product)
+    return _correlate(glayout, flipped, _blas_product)
 
 
-def _conv3d_grad_w(layout, gout):
+def _conv3d_grad_w(layout, glayout):
     """Gradient of _conv3d w.r.t. its weights, on BLAS, from the flat
-    layout of the input the forward pass already built."""
+    layouts of the input (built by the forward pass) and of gout."""
     xf, dims = layout
     offsets, n = _taps(dims)
-    # gout at its voxels' q, zero in the pad columns.
-    g = np.pad(gout, ((0, 0), (0, 0), (0, 2), (0, 2))).reshape(len(gout), -1)
-    gw = np.zeros((len(offsets), len(gout), len(xf)))
+    # gout's voxel q sits at q + S1 + S2 + 1 (centre tap); pads are zero.
+    g = glayout[0][:, offsets[13]:]
+    gw = np.zeros((len(offsets), len(g), len(xf)))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         for gw_k, off in zip(gw, offsets):
             gw_k += g[:, lo:hi] @ xf[:, lo + off:hi + off].T
-    return gw.transpose(1, 2, 0).reshape(len(gout), len(xf), _K, _K, _K)
+    return gw.transpose(1, 2, 0).reshape(len(g), len(xf), _K, _K, _K)
 
 
 def _silu_grad(z, s):
@@ -242,32 +245,36 @@ class TinyConvPredictor(NoisePredictor):
         if offset != flat.size:
             raise ValueError(f"expected {offset} parameters, got {flat.size}")
 
-    def _forward(self, x_t_data, mask_data, t):
+    def _forward(self, x_t_data, mask_data, t, product):
+        """Output and backward cache; ``_predict`` passes the einsum
+        ``product``, ``loss_and_grads`` the BLAS one (see ``_conv3d``)."""
         p = self.params
         # The backward pass reuses each layer's flat input layout and
         # each SiLU's expit from the cache.
         fx = _flat_layout(np.stack([x_t_data, mask_data.astype(np.float64)]))
-        z1 = _conv3d(fx, p["w1"], p["b1"])
+        z1 = _conv3d(fx, p["w1"], p["b1"], product=product)
         z1 = z1 + _time_embedding(t)[:, None, None, None]
         s1 = expit(z1)
         fa1 = _flat_layout(z1 * s1)
-        z2 = _conv3d(fa1, p["w2"], p["b2"])
+        z2 = _conv3d(fa1, p["w2"], p["b2"], product=product)
         s2 = expit(z2)
         fa2 = _flat_layout(z2 * s2)
-        out = _conv3d(fa2, p["w3"])
+        out = _conv3d(fa2, p["w3"], product=product)
         cache = (fx, z1, s1, fa1, z2, s2, fa2)
         return out[0], cache
 
     def _backward(self, gout, cache):
         p = self.params
         fx, z1, s1, fa1, z2, s2, fa2 = cache
-        g = gout[None]
-        gw3 = _conv3d_grad_w(fa2, g)
-        gz2 = _conv3d_grad_x(p["w3"], g) * _silu_grad(z2, s2)
-        gw2 = _conv3d_grad_w(fa1, gz2)
+        # Each layer's gout is laid out once for both of its gradients.
+        g3 = _flat_layout(gout[None])
+        gw3 = _conv3d_grad_w(fa2, g3)
+        gz2 = _conv3d_grad_x(p["w3"], g3) * _silu_grad(z2, s2)
+        g2 = _flat_layout(gz2)
+        gw2 = _conv3d_grad_w(fa1, g2)
         gb2 = gz2.sum(axis=(1, 2, 3))
-        gz1 = _conv3d_grad_x(p["w2"], gz2) * _silu_grad(z1, s1)
-        gw1 = _conv3d_grad_w(fx, gz1)
+        gz1 = _conv3d_grad_x(p["w2"], g2) * _silu_grad(z1, s1)
+        gw1 = _conv3d_grad_w(fx, _flat_layout(gz1))
         gb1 = gz1.sum(axis=(1, 2, 3))
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3}
 
@@ -276,7 +283,7 @@ class TinyConvPredictor(NoisePredictor):
             mask = np.zeros(x_t.dims)
         else:
             mask = c.nodule_mask().astype(np.float64)
-        out, _ = self._forward(x_t.data, mask, t)
+        out, _ = self._forward(x_t.data, mask, t, _einsum_product)
         return VoxelVolume(out, x_t.spacing)
 
     def loss_and_grads(self, x0, m, t, eps, s):
@@ -289,7 +296,7 @@ class TinyConvPredictor(NoisePredictor):
         ab, sig = _coeffs(s, t)
         x_t = np.sqrt(ab) * x0.data + sig * eps.data
         mask = m.nodule_mask().astype(np.float64)
-        out, cache = self._forward(x_t, mask, t)
+        out, cache = self._forward(x_t, mask, t, _blas_product)
         resid = out - eps.data
         loss = float(np.mean(resid ** 2))
         gout = 2.0 * resid / resid.size

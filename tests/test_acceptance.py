@@ -16,7 +16,7 @@ from nodulesynth.cli import main as cli_main
 from nodulesynth.forward import invert_reference, masked_mix
 from nodulesynth.layout import LayoutConfig, sample_nodule_spec
 from nodulesynth.oracle import convergence_study
-from nodulesynth.predictor import Adam, _flatten_grads
+from nodulesynth.predictor import Adam, _blas_product, _flatten_grads
 from nodulesynth.solver import dpm_update, grid_from_times, make_time_grid
 
 
@@ -201,7 +201,7 @@ def test_criterion_08_training_sanity():
     x_t = np.sqrt(ab) * x0.data + sig * eps.data
 
     def loss_only():
-        out, _ = p._forward(x_t, mask_f, t)
+        out, _ = p._forward(x_t, mask_f, t, _blas_product)
         return float(np.mean((out - eps.data) ** 2))
 
     h = 1e-5

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
 from nodulesynth.bench import (BenchConfig, ConvLayerSpec, compare,
                                estimate_flops, format_table, run_bench,
                                tiny_conv_arch, write_report_csv)
+from nodulesynth.cli import _table2_desk_suite
 from nodulesynth.errors import NoduleSynthError
+from nodulesynth.schedule import make_schedule
 
 
 def test_estimate_flops_hand_computed():
@@ -87,3 +91,22 @@ def test_report_csv_and_table(tmp_path):
     assert len(lines) == 3
     table = format_table(reps)
     assert "a" in table and "b" in table and "nfe" in table
+
+
+def test_proxy_row_reports_timed_dims(tmp_path):
+    # The 128^3 row of table2-desk is timed at 32^3; a stub run keeps the
+    # test fast without changing what the row reports.
+    proxy = _table2_desk_suite(make_schedule("cosine", 1000))[0]
+    proxy = dataclasses.replace(proxy, run=lambda trial_seed: 1000)
+    reps = [run_bench(proxy, n_trials=1, warmup=0),
+            run_bench(_make_cfg(), n_trials=1, warmup=0)]
+    assert reps[0].dims == (128, 128, 128)
+    assert reps[0].timed_dims == (32, 32, 32)
+    assert reps[1].timed_dims == reps[1].dims
+    write_report_csv(reps, tmp_path / "r.csv")
+    header, row, _ = (tmp_path / "r.csv").read_text().strip().splitlines()
+    assert header.startswith("config,dims,nfe")
+    assert header.endswith(",timed_dims")
+    assert row.split(",")[1] == "128x128x128"
+    assert row.endswith(",32x32x32")
+    assert "32x32x32" in format_table(reps).splitlines()[1]

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -7,8 +6,7 @@ import pytest
 from nodulesynth.errors import PlacementError, SearchExhaustedError
 from nodulesynth.layout import (SIZE_CLASSES, EllipsoidSpec, LayoutConfig,
                                 pick_healthy_crop, place_nodule,
-                                rasterize_ellipsoid, sample_nodule_spec,
-                                spec_log_entry)
+                                rasterize_ellipsoid, sample_nodule_spec)
 from nodulesynth.volume import LUNG, NODULE, SemanticLayout
 
 
@@ -147,12 +145,3 @@ def test_pick_healthy_crop_size_validation(rng):
     layout = SemanticLayout(np.zeros((8, 8, 8), np.uint8))
     with pytest.raises(ValueError):
         pick_healthy_crop(layout, None, (16, 16, 16), rng)
-
-
-def test_spec_log_entry_roundtrip():
-    spec = EllipsoidSpec("medium", (3.0, 2.0, 2.0), (0.1, 0.2, 0.3),
-                         (5.0, 6.0, 7.0))
-    doc = json.loads(spec_log_entry(spec))
-    assert doc["class"] == "medium"
-    assert doc["diameter_mm"] == 6.0
-    assert doc["center"] == [5.0, 6.0, 7.0]

@@ -7,11 +7,12 @@ from scipy import ndimage
 from nodulesynth.errors import FormatError
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (Adam, AnalyticGaussianPredictor,
-                                   TinyConvPredictor, _conv3d,
-                                   _conv3d_grad_w, _conv3d_grad_x,
-                                   _flat_layout, _flatten_grads,
-                                   _time_embedding, to_data_prediction, train,
-                                   train_step, write_loss_curve)
+                                   TinyConvPredictor, _blas_product,
+                                   _conv3d, _conv3d_grad_w, _conv3d_grad_x,
+                                   _einsum_product, _flat_layout,
+                                   _flatten_grads, _time_embedding,
+                                   to_data_prediction, train, train_step,
+                                   write_loss_curve)
 from nodulesynth.volume import SemanticLayout, VoxelVolume
 
 
@@ -66,7 +67,7 @@ def test_conv3d_matches_scipy(rng):
     x = rng.standard_normal((3, 5, 6, 4))
     w = rng.standard_normal((2, 3, 3, 3, 3))
     b = rng.standard_normal(2)
-    out = _conv3d(_flat_layout(x), w, b)
+    out = _conv3d(_flat_layout(x), w, b, product=_einsum_product)
     expected = np.zeros((2, 5, 6, 4))
     for o in range(2):
         for i in range(3):
@@ -79,11 +80,13 @@ def test_conv3d_backward_finite_difference(rng):
     x = rng.standard_normal((2, 4, 4, 4))
     w = rng.standard_normal((2, 2, 3, 3, 3)) * 0.3
     gout = rng.standard_normal((2, 4, 4, 4))
-    gx, gw = _conv3d_grad_x(w, gout), _conv3d_grad_w(_flat_layout(x), gout)
+    gl = _flat_layout(gout)
+    gx, gw = _conv3d_grad_x(w, gl), _conv3d_grad_w(_flat_layout(x), gl)
     h = 1e-6
 
     def loss(xv, wv):
-        return float(np.sum(_conv3d(_flat_layout(xv), wv) * gout))
+        out = _conv3d(_flat_layout(xv), wv, product=_einsum_product)
+        return float(np.sum(out * gout))
 
     for idx in [(0, 1, 2, 3), (1, 3, 0, 0)]:
         xp = x.copy(); xp[idx] += h
@@ -143,9 +146,13 @@ def test_conv3d_bit_identical_to_einsum_oracle(cin, cout, dims, bias, seed):
     x = rng.standard_normal((cin,) + dims)
     w = rng.standard_normal((cout, cin, 3, 3, 3))
     b = rng.standard_normal(cout) if bias else None
-    out = _conv3d(_flat_layout(x), w, b)
+    out = _conv3d(_flat_layout(x), w, b, product=_einsum_product)
     assert out.shape == (cout,) + dims
     assert np.array_equal(out, _einsum_conv3d(x, w, b))
+    # The training forward runs on BLAS and matches up to rounding.
+    blas = _conv3d(_flat_layout(x), w, b, product=_blas_product)
+    assert blas.shape == out.shape
+    assert np.abs(blas - out).max() <= 1e-12 * np.abs(out).max()
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,7 +165,8 @@ def test_conv3d_gradients_match_oracle_and_finite_differences(cin, cout, dims,
     x = rng.standard_normal((cin,) + dims)
     w = rng.standard_normal((cout, cin, 3, 3, 3))
     gout = rng.standard_normal((cout,) + dims)
-    gx, gw = _conv3d_grad_x(w, gout), _conv3d_grad_w(_flat_layout(x), gout)
+    gl = _flat_layout(gout)
+    gx, gw = _conv3d_grad_x(w, gl), _conv3d_grad_w(_flat_layout(x), gl)
     gx_ref, gw_ref = _einsum_conv3d_backward(x, w, gout)
     for got, ref in ((gx, gx_ref), (gw, gw_ref)):
         assert got.shape == ref.shape
@@ -167,7 +175,8 @@ def test_conv3d_gradients_match_oracle_and_finite_differences(cin, cout, dims,
     # The loss is linear in x and in w, so central differences are exact
     # up to rounding.
     def loss(xv, wv):
-        return float(np.sum(_conv3d(_flat_layout(xv), wv) * gout))
+        out = _conv3d(_flat_layout(xv), wv, product=_einsum_product)
+        return float(np.sum(out * gout))
 
     h = 1e-3
     for arr, grad in ((x, gx), (w, gw)):
@@ -212,6 +221,22 @@ def test_zero_weight_loss_is_noise_power(cosine1000, rng, small_layout):
     eps = VoxelVolume(rng.standard_normal((8, 8, 8)))
     loss, _ = p.loss_and_grads(x0, small_layout, 500, eps, cosine1000)
     assert loss == pytest.approx(float(np.mean(eps.data ** 2)), rel=1e-12)
+
+
+def test_training_loss_matches_inference_forward(cosine1000, rng):
+    # loss_and_grads runs the forward on BLAS, predict on einsum; the
+    # two losses agree up to rounding.
+    dims = (7, 9, 11)
+    labels = np.zeros(dims, np.uint8)
+    labels[2:5, 3:6, 4:8] = 2
+    m = SemanticLayout(labels)
+    x0 = VoxelVolume(rng.standard_normal(dims))
+    eps = VoxelVolume(rng.standard_normal(dims))
+    p = TinyConvPredictor(seed=3)
+    loss, _ = p.loss_and_grads(x0, m, 400, eps, cosine1000)
+    x_t = q_sample(x0, 400, eps, cosine1000).x_t
+    ref = float(np.mean((p.predict(x_t, 400, m).data - eps.data) ** 2))
+    assert loss == pytest.approx(ref, rel=1e-12)
 
 
 def test_flat_roundtrip(rng):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (HALO, AnalyticGaussianPredictor,
-                                   TinyConvPredictor)
+                                   TinyConvPredictor, _einsum_product)
 from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import (SolverConfig, ancestral_step, dpm_solve,
                                 eval_region, expected_nfe, hybrid_noise,
@@ -146,12 +146,12 @@ def test_tiny_conv_receptive_field_is_halo(channel):
     p = TinyConvPredictor(seed=0)
     x = rng.standard_normal(dims)
     mask = (rng.random(dims) < 0.5).astype(np.float64)
-    base, _ = p._forward(x, mask, 500)
+    base, _ = p._forward(x, mask, 500, _einsum_product)
     if channel == "volume":
         x[center] += 1.0
     else:
         mask[center] = 1.0 - mask[center]
-    moved, _ = p._forward(x, mask, 500)
+    moved, _ = p._forward(x, mask, 500, _einsum_product)
     changed = moved != base
     dist = _chebyshev_from(center, dims)
     assert changed[dist == HALO].all()
