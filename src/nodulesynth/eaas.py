@@ -107,9 +107,14 @@ def run_eaas(req):
     full_volume = paste(req.reference, patch, region)
     full_layout = paste(req.lung_layout, m, region)
     evaluated = eval_region(m, cfg)
+    nfe = expected_nfe(cfg.method, cfg.steps)
+    # Predictors that count their FLOPs (the tiny conv net) expose them.
+    flops = getattr(req.predictor, "flops", None)
     provenance = {
         "seed": int(req.seed),
-        "nfe": expected_nfe(cfg.method, cfg.steps),
+        "nfe": nfe,
+        "eval_flops": None if flops is None else nfe * flops(
+            evaluated.size, evaluated.cut_faces(m.dims)),
         "wall_time_s": time.perf_counter() - started,
         "crop_origin": list(region.origin),
         "crop_size": list(region.size),

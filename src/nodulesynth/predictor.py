@@ -9,6 +9,7 @@ finite-difference gradient checks stay tractable.
 """
 
 import csv
+import math
 import struct
 from functools import partial
 
@@ -17,7 +18,7 @@ from scipy.special import expit
 
 from .errors import FormatError, TrainingError
 from .forward import _coeffs
-from .volume import VoxelVolume
+from .volume import NO_CUT, VoxelVolume
 
 _CKPT_MAGIC = b"LDPW"
 _CKPT_VERSION = 1
@@ -42,6 +43,14 @@ class NoisePredictor:
     voxels from a cut face; the per-step solver relies on this to
     evaluate only the nodule region.  The tiny conv net has exactly
     radius 3 (three 3^3 layers), the analytic predictor radius 0.
+
+    The solver marks those faces on the condition (``c.cut``, see
+    ``SemanticLayout``).  The output keeps the input's dims, but its
+    voxels within ``HALO`` of a marked face are unspecified: the tiny
+    conv net shrinks each layer's output by one voxel per marked face
+    and leaves that shell zero.  The analytic predictor ignores the
+    marks.  Unmarked faces (the patch border, and every face in
+    ``init_only`` mode and in training) keep the "same" convolution.
     """
 
     def __init__(self):
@@ -103,40 +112,56 @@ _HIDDEN = 8
 _BLOCK = 8192  # flat voxels per block: a block's 27 taps stay in L2 cache
 
 
-def _flat_layout(a):
-    """Zero-pad a (C, Z, Y, X) array by one voxel per face and flatten
-    its spatial axes.  Returns the (C, L) array and (Z, Y, X); voxel
-    (z, y, x) sits at q = z*S1 + y*S2 + x, S1 = (Y+2)(X+2), S2 = X+2."""
-    flat = np.pad(a, ((0, 0), (1, 1), (1, 1), (1, 1))).reshape(a.shape[0], -1)
-    return flat, a.shape[1:]
+def _layout(channels, dims, cut=NO_CUT):
+    """A zeroed flat layout for a (channels, *dims) array, and the view
+    of its interior to write that array into.
+
+    The array is zero-padded by one voxel on every face not ``cut`` and
+    its spatial axes are flattened.  The layout is the (C, L) array and
+    the padded dims (P1, P2, P3); padded voxel (z, y, x) sits at
+    q = z*S1 + y*S2 + x, S1 = P2*P3, S2 = P3."""
+    pads = [(1 - lo, 1 - hi) for lo, hi in cut]
+    padded = tuple(d + lo + hi for d, (lo, hi) in zip(dims, pads))
+    flat = np.zeros((channels, math.prod(padded)))
+    box = (slice(None),) + tuple(slice(lo, lo + d)
+                                 for d, (lo, _) in zip(dims, pads))
+    return (flat, padded), flat.reshape(channels, *padded)[box]
 
 
-def _taps(dims):
-    """The 27 tap offsets of a flat layout of ``dims`` in (dz, dy, dx)
-    order (tap (dz, dy, dx) of voxel q reads q + dz*S1 + dy*S2 + dx) and
-    the length of the run of q that covers every voxel, pad columns
-    included."""
-    Z, Y, X = dims
-    s1, s2 = (Y + 2) * (X + 2), X + 2
+def _flat_layout(a, cut=NO_CUT):
+    """The flat layout of a (C, Z, Y, X) array (see ``_layout``)."""
+    layout, interior = _layout(len(a), a.shape[1:], cut)
+    interior[...] = a
+    return layout
+
+
+def _taps(padded):
+    """The 27 tap offsets of a flat layout with ``padded`` dims in
+    (dz, dy, dx) order (tap (dz, dy, dx) of output voxel q reads
+    q + dz*S1 + dy*S2 + dx) and the length of the run of q that covers
+    every output voxel, pad columns included."""
+    P1, P2, P3 = padded
+    s1, s2 = P2 * P3, P3
     offsets = [dz * s1 + dy * s2 + dx for dz, dy, dx in np.ndindex(3, 3, 3)]
-    return offsets, (Z - 1) * s1 + (Y - 1) * s2 + X
+    return offsets, (P1 - 3) * s1 + (P2 - 3) * s2 + P3 - 2
 
 
 def _correlate(layout, w, product):
-    """Same-padded 3^3 correlation of a flat layout of x (Cin, Z, Y, X)
-    with w (Cout, Cin, 3, 3, 3); ``product(w_k, slice)`` multiplies one
-    tap's (Cout, Cin) matrix into a (Cin, L) slice.  Each voxel sums its
-    taps in (dz, dy, dx) order, starting from zero, and the pad columns
-    are dropped."""
-    xf, (Z, Y, X) = layout
-    offsets, n = _taps((Z, Y, X))
+    """"Valid" 3^3 correlation of a flat layout with w (Cout, Cin, 3, 3, 3):
+    the output is the padded dims less 2 per axis, that is the input's
+    dims less one voxel per cut face.  ``product(w_k, slice)`` multiplies
+    one tap's (Cout, Cin) matrix into a (Cin, L) slice.  Each voxel sums
+    its taps in (dz, dy, dx) order, starting from zero; the returned view
+    drops the pad columns."""
+    xf, (P1, P2, P3) = layout
+    offsets, n = _taps((P1, P2, P3))
     wk = np.ascontiguousarray(w.reshape(*w.shape[:2], -1).transpose(2, 0, 1))
-    out = np.zeros((w.shape[0], Z * (Y + 2) * (X + 2)))
+    out = np.zeros((w.shape[0], (P1 - 2) * P2 * P3))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         for w_k, off in zip(wk, offsets):
             out[:, lo:hi] += product(w_k, xf[:, lo + off:hi + off])
-    return out.reshape(-1, Z, Y + 2, X + 2)[:, :, :Y, :X].copy()
+    return out.reshape(-1, P1 - 2, P2, P3)[:, :, :P2 - 2, :P3 - 2]
 
 
 _einsum_product = partial(np.einsum, "oi,il->ol")
@@ -149,8 +174,10 @@ def _blas_product(a, b):
 
 
 def _conv3d(layout, w, b=None, *, product):
-    """Same-padded 3^3 convolution of the input x (Cin, Z, Y, X) given as
-    ``_flat_layout(x)``; w: (Cout, Cin, 3, 3, 3).
+    """3^3 convolution of the input x (Cin, Z, Y, X) given as
+    ``_flat_layout(x, cut)``; w: (Cout, Cin, 3, 3, 3).  The output is
+    "same"-padded on every face not cut and one voxel smaller on every
+    cut face; with no cut it is the "same" convolution.
 
     Only inference bytes are pinned (golden hashes), so only inference
     passes ``_einsum_product``: it is bit-identical to 27 shifted-view
@@ -173,8 +200,8 @@ def _conv3d_grad_x(w, glayout):
 def _conv3d_grad_w(layout, glayout):
     """Gradient of _conv3d w.r.t. its weights, on BLAS, from the flat
     layouts of the input (built by the forward pass) and of gout."""
-    xf, dims = layout
-    offsets, n = _taps(dims)
+    xf, padded = layout
+    offsets, n = _taps(padded)
     # gout's voxel q sits at q + S1 + S2 + 1 (centre tap); pads are zero.
     g = glayout[0][:, offsets[13]:]
     gw = np.zeros((len(offsets), len(g), len(xf)))
@@ -183,6 +210,15 @@ def _conv3d_grad_w(layout, glayout):
         for gw_k, off in zip(gw, offsets):
             gw_k += g[:, lo:hi] @ xf[:, lo + off:hi + off].T
     return gw.transpose(1, 2, 0).reshape(len(g), len(xf), _K, _K, _K)
+
+
+def _silu_layout(z, cut):
+    """SiLU z * expit(z), written straight into the interior of the next
+    layer's zeroed flat layout; returns that layout and expit(z)."""
+    s = expit(z)
+    layout, interior = _layout(len(z), z.shape[1:], cut)
+    np.multiply(z, s, out=interior)
+    return layout, s
 
 
 def _silu_grad(z, s):
@@ -245,20 +281,23 @@ class TinyConvPredictor(NoisePredictor):
         if offset != flat.size:
             raise ValueError(f"expected {offset} parameters, got {flat.size}")
 
-    def _forward(self, x_t_data, mask_data, t, product):
+    def _forward(self, x_t_data, mask_data, t, product, cut=NO_CUT):
         """Output and backward cache; ``_predict`` passes the einsum
-        ``product``, ``loss_and_grads`` the BLAS one (see ``_conv3d``)."""
+        ``product``, ``loss_and_grads`` the BLAS one (see ``_conv3d``).
+
+        Each layer drops one voxel per ``cut`` face, so the output is
+        ``HALO`` voxels smaller there.  Training passes no cut: the
+        "same" convolution."""
         p = self.params
         # The backward pass reuses each layer's flat input layout and
         # each SiLU's expit from the cache.
-        fx = _flat_layout(np.stack([x_t_data, mask_data.astype(np.float64)]))
+        fx = _flat_layout(np.stack([x_t_data, mask_data.astype(np.float64)]),
+                          cut)
         z1 = _conv3d(fx, p["w1"], p["b1"], product=product)
         z1 = z1 + _time_embedding(t)[:, None, None, None]
-        s1 = expit(z1)
-        fa1 = _flat_layout(z1 * s1)
+        fa1, s1 = _silu_layout(z1, cut)
         z2 = _conv3d(fa1, p["w2"], p["b2"], product=product)
-        s2 = expit(z2)
-        fa2 = _flat_layout(z2 * s2)
+        fa2, s2 = _silu_layout(z2, cut)
         out = _conv3d(fa2, p["w3"], product=product)
         cache = (fx, z1, s1, fa1, z2, s2, fa2)
         return out[0], cache
@@ -267,6 +306,8 @@ class TinyConvPredictor(NoisePredictor):
         p = self.params
         fx, z1, s1, fa1, z2, s2, fa2 = cache
         # Each layer's gout is laid out once for both of its gradients.
+        # gz2 and gz1 stay contiguous for their bias sums: a sum over
+        # the layout's strided interior would round differently.
         g3 = _flat_layout(gout[None])
         gw3 = _conv3d_grad_w(fa2, g3)
         gz2 = _conv3d_grad_x(p["w3"], g3) * _silu_grad(z2, s2)
@@ -280,11 +321,27 @@ class TinyConvPredictor(NoisePredictor):
 
     def _predict(self, x_t, t, c):
         if c is None:
-            mask = np.zeros(x_t.dims)
+            mask, cut = np.zeros(x_t.dims), NO_CUT
         else:
-            mask = c.nodule_mask().astype(np.float64)
-        out, _ = self._forward(x_t.data, mask, t, _einsum_product)
+            mask, cut = c.nodule_mask().astype(np.float64), c.cut
+        out = np.zeros(x_t.dims)
+        box = tuple(slice(HALO * lo, d - HALO * hi)
+                    for d, (lo, hi) in zip(x_t.dims, cut))
+        if all(b.start < b.stop for b in box):
+            eps, _ = self._forward(x_t.data, mask, t, _einsum_product, cut)
+            out[box] = eps
         return VoxelVolume(out, x_t.spacing)
+
+    def flops(self, dims, cut=NO_CUT):
+        """FLOPs of one ``predict`` at ``dims`` with the condition's
+        ``cut``: 2 per multiply-add of each conv layer, counted on the
+        voxels that layer outputs."""
+        sizes = [[d - k * (lo + hi) for d, (lo, hi) in zip(dims, cut)]
+                 for k in (1, 2, 3)]
+        if min(sizes[-1]) < 1:
+            return 0
+        return sum(2 * self.params[w].size * math.prod(size)
+                   for w, size in zip(("w1", "w2", "w3"), sizes))
 
     def loss_and_grads(self, x0, m, t, eps, s):
         """MSE training loss at a fixed (t, eps) draw, with gradients.

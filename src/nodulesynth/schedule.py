@@ -11,7 +11,7 @@ by fine-grained reference integration and float-time sampling grids.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
     sigma: np.ndarray
     lam: np.ndarray
-    _fg: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def alpha(self):
@@ -79,27 +78,14 @@ class NoiseSchedule:
         ab, sig = coefficients_of_lambda(lam)
         return ab, sig, lam
 
-    # -- drift / diffusion of the continuous-time process ---------------
-
-    def _fg_tables(self):
-        if "f" not in self._fg:
-            a = np.sqrt(self.alpha_bar)
-            log_a = np.log(a)
-            sig2 = 1.0 - self.alpha_bar
-            f = np.gradient(log_a)
-            g2 = np.gradient(sig2) - 2.0 * f * sig2
-            self._fg["f"] = f
-            self._fg["g2"] = np.maximum(g2, 0.0)
-        return self._fg["f"], self._fg["g2"]
-
-    def drift(self, t):
-        """f(t): drift coefficient, central finite difference per unit step."""
-        f, _ = self._fg_tables()
-        return float(f[int(round(t))])
+    # -- diffusion of the continuous-time process ------------------------
 
     def diffusion_sq(self, t):
-        """g^2(t): squared diffusion coefficient per unit step."""
-        _, g2 = self._fg_tables()
+        """g^2(t): squared diffusion coefficient per unit step, from
+        central finite differences of log sqrt(alpha_bar) and sigma^2."""
+        f = np.gradient(np.log(np.sqrt(self.alpha_bar)))
+        sig2 = 1.0 - self.alpha_bar
+        g2 = np.maximum(np.gradient(sig2) - 2.0 * f * sig2, 0.0)
         return float(g2[int(round(t))])
 
     # -- serialization ---------------------------------------------------

@@ -35,7 +35,7 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -475,7 +475,7 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
             f"cfg.t_start={t_start} != initial state t={x_init.t}")
     grid = make_time_grid(s, cfg)
     region = eval_region(m, cfg)
-    c = crop(m, region)
+    c = replace(crop(m, region), cut=region.cut_faces(m.dims))
     x = crop(x_init.x_t, region)
 
     blend = None

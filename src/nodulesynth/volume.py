@@ -57,12 +57,24 @@ class VoxelVolume:
         return self.data.shape
 
 
+# Per axis (z, y, x): whether the (low, high) face is cut (see SemanticLayout).
+NO_CUT = ((False, False),) * 3
+
+
 @dataclass(frozen=True)
 class SemanticLayout:
-    """Per-voxel labels: 0 background, 1 lung, 2 nodule."""
+    """Per-voxel labels: 0 background, 1 lung, 2 nodule.
+
+    ``cut`` marks, per axis, the (low, high) faces where the layout was
+    cut out of the patch being sampled (:meth:`CropRegion.cut_faces`)
+    rather than lying on its border.  As a predictor condition it says
+    that only output voxels at least ``HALO`` voxels from every cut face
+    are needed (see ``NoisePredictor``).
+    """
 
     labels: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
+    cut: tuple = NO_CUT
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.uint8).view()
@@ -73,9 +85,13 @@ class SemanticLayout:
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != 3 or any(s <= 0 for s in spacing):
             raise ValueError(f"spacing must be 3 positive floats, got {self.spacing}")
+        cut = tuple((bool(lo), bool(hi)) for lo, hi in self.cut)
+        if len(cut) != 3:
+            raise ValueError(f"cut must be 3 (low, high) pairs, got {self.cut}")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "cut", cut)
 
     @property
     def dims(self):
@@ -107,6 +123,12 @@ class CropRegion:
 
     def slices(self):
         return tuple(slice(o, o + s) for o, s in zip(self.origin, self.size))
+
+    def cut_faces(self, dims):
+        """Per axis, whether the (low, high) face of the box lies inside
+        a volume of ``dims`` rather than on its border."""
+        return tuple((o > 0, o + s < d)
+                     for o, s, d in zip(self.origin, self.size, dims))
 
     def validate_within(self, dims):
         for o, s, d in zip(self.origin, self.size, dims):

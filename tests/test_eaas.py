@@ -5,7 +5,9 @@ import pytest
 
 from nodulesynth.eaas import (BatchItem, EaasRequest, run_batch, run_eaas,
                               write_provenance)
-from nodulesynth.predictor import AnalyticGaussianPredictor, NoisePredictor
+from nodulesynth.layout import LayoutConfig
+from nodulesynth.predictor import (AnalyticGaussianPredictor, NoisePredictor,
+                                   TinyConvPredictor)
 from nodulesynth.solver import SolverConfig
 from nodulesynth.volume import SemanticLayout, VoxelVolume, make_phantom
 
@@ -98,6 +100,31 @@ def test_provenance_fields(phantom, cosine1000, tmp_path):
     assert prov["eval_voxels"] < np.prod(prov["crop_size"])
     write_provenance(res, tmp_path / "prov.json")
     assert json.loads((tmp_path / "prov.json").read_text())["seed"] == 5
+
+
+@pytest.mark.parametrize("seed, eval_size, layers", [
+    # Interior box, cut on all six faces: 11^3 -> 9^3, 7^3, 5^3.
+    (4, [11, 11, 11], [(9, 9, 9), (7, 7, 7), (5, 5, 5)]),
+    # On the patch's low x border: x drops one voxel per layer, not two.
+    (2, [11, 11, 11], [(9, 9, 10), (7, 7, 9), (5, 5, 8)]),
+])
+def test_provenance_eval_flops_hand_count(phantom, cosine1000, seed,
+                                          eval_size, layers):
+    req = _request(phantom, cosine1000, seed=seed,
+                   predictor=TinyConvPredictor(seed=0),
+                   solver=SolverConfig(steps=2), patch_size=(24, 24, 24),
+                   layout_cfg=LayoutConfig(max_diameter_mm=6.0))
+    prov = run_eaas(req).provenance
+    assert prov["eval_size"] == eval_size
+    # 2 FLOPs per multiply-add of each 3^3 layer (2->8, 8->8, 8->1), on
+    # the voxels it outputs, times NFE = 3.
+    per_eval = sum(2 * 27 * cin * cout * int(np.prod(size))
+                   for (cin, cout), size in zip([(2, 8), (8, 8), (8, 1)],
+                                                layers))
+    assert prov["eval_flops"] == 3 * per_eval
+    # The analytic predictor does not count FLOPs.
+    req = _request(phantom, cosine1000, seed=seed)
+    assert run_eaas(req).provenance["eval_flops"] is None
 
 
 def test_run_batch_matches_standalone(phantom, cosine1000):

@@ -6,14 +6,15 @@ from scipy import ndimage
 
 from nodulesynth.errors import FormatError
 from nodulesynth.forward import q_sample
-from nodulesynth.predictor import (Adam, AnalyticGaussianPredictor,
+from nodulesynth.predictor import (HALO, Adam, AnalyticGaussianPredictor,
                                    TinyConvPredictor, _blas_product,
                                    _conv3d, _conv3d_grad_w, _conv3d_grad_x,
                                    _einsum_product, _flat_layout,
-                                   _flatten_grads, _time_embedding,
+                                   _flatten_grads, _silu_layout,
+                                   _time_embedding,
                                    to_data_prediction, train, train_step,
                                    write_loss_curve)
-from nodulesynth.volume import SemanticLayout, VoxelVolume
+from nodulesynth.volume import NO_CUT, SemanticLayout, VoxelVolume
 
 
 def test_analytic_predictor_posterior_mean_identity(cosine1000, rng):
@@ -189,6 +190,92 @@ def test_conv3d_gradients_match_oracle_and_finite_differences(cin, cout, dims,
         arr[idx] = orig
         assert (lp - lm) / (2 * h) == pytest.approx(grad[idx], rel=1e-6,
                                                    abs=1e-8)
+
+
+cut_st = st.tuples(*[st.tuples(st.booleans(), st.booleans())] * 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chans=st.lists(channels_st, min_size=4, max_size=4), cut=cut_st,
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_shrunk_conv_stack_matches_same_stack_interior(chans, cut, data,
+                                                       seed):
+    # A box cut out of an enclosing box on the ``cut`` faces and sharing
+    # its border on the others: three shrunk layers on the box equal the
+    # "same" stack on the enclosing box at every voxel at least HALO
+    # from a cut face.
+    dims = tuple(data.draw(st.integers(1 + HALO * (lo + hi),
+                                       4 + HALO * (lo + hi)))
+                 for lo, hi in cut)
+    margins = [tuple(data.draw(st.integers(1, 3)) if c else 0 for c in face)
+               for face in cut]
+    rng = np.random.default_rng(seed)
+    big = rng.standard_normal((chans[0],) + tuple(
+        d + lo + hi for d, (lo, hi) in zip(dims, margins)))
+    box = tuple(slice(lo, lo + d) for d, (lo, _) in zip(dims, margins))
+    ws = [rng.standard_normal((co, ci, 3, 3, 3))
+          for ci, co in zip(chans, chans[1:])]
+    bs = [rng.standard_normal(co) for co in chans[1:]]
+
+    same_layout = _flat_layout(big)
+    shrunk_layout = _flat_layout(big[(slice(None),) + box], cut)
+    for w, b in zip(ws, bs):
+        same = _conv3d(same_layout, w, b, product=_einsum_product)
+        shrunk = _conv3d(shrunk_layout, w, b, product=_einsum_product)
+        same_layout, _ = _silu_layout(same, NO_CUT)
+        shrunk_layout, _ = _silu_layout(shrunk, cut)
+    inner = tuple(slice(s.start + HALO * lo, s.stop - HALO * hi)
+                  for s, (lo, hi) in zip(box, cut))
+    want = np.ascontiguousarray(same[(slice(None),) + inner])
+    assert shrunk.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(shrunk).view(np.uint64),
+                          want.view(np.uint64))
+
+
+@settings(max_examples=15, deadline=None)
+@given(cut=cut_st, seed=st.integers(0, 2 ** 16))
+def test_predict_with_cut_condition_matches_enclosing_box(cut, seed):
+    # Cut on some faces of a 12^3 box inside a 16^3 volume, on the volume
+    # border on the others: the output equals the whole volume's output
+    # away from the cut faces and is zero within HALO of them.
+    rng = np.random.default_rng(seed)
+    x = VoxelVolume(rng.standard_normal((16, 16, 16)))
+    labels = rng.integers(1, 3, (16, 16, 16)).astype(np.uint8)
+    box = tuple(slice(2 * lo, 16 - 2 * hi) for lo, hi in cut)
+    p = TinyConvPredictor(seed=0)
+    whole = p.predict(x, 300, SemanticLayout(labels)).data
+    got = p.predict(VoxelVolume(x.data[box]), 300,
+                    SemanticLayout(labels[box], cut=cut)).data
+    assert got.shape == x.data[box].shape
+    inner = tuple(slice(HALO * lo, got.shape[k] - HALO * hi)
+                  for k, (lo, hi) in enumerate(cut))
+    assert np.array_equal(got[inner].view(np.uint64),
+                          np.ascontiguousarray(whole[box][inner]).view(
+                              np.uint64))
+    shell = np.ones(got.shape, dtype=bool)
+    shell[inner] = False
+    assert not got[shell].any()
+    # A box with every voxel within HALO of a cut face is all shell.
+    tiny = ((True, True),) * 3
+    out = p.predict(VoxelVolume(x.data[:6, :6, :6]), 300,
+                    SemanticLayout(labels[:6, :6, :6], cut=tiny))
+    assert not out.data.any() and p.flops((6, 6, 6), tiny) == 0
+
+
+def test_tiny_conv_flops_hand_count():
+    p = TinyConvPredictor()
+    # Layers 2->8, 8->8, 8->1: 2 * 27 * Cin * Cout FLOPs per output voxel.
+    per_voxel = [2 * 27 * 16, 2 * 27 * 64, 2 * 27 * 8]
+    # No cut: every layer outputs 8^3 voxels.
+    assert p.flops((8, 8, 8)) == sum(per_voxel) * 512
+    # z cut on both faces, y on the low face, x on none: the layers
+    # output 11x9x8, 9x8x8 and 7x7x8 voxels.
+    cut = ((True, True), (True, False), (False, False))
+    assert p.flops((13, 10, 8), cut) == (per_voxel[0] * 11 * 9 * 8
+                                         + per_voxel[1] * 9 * 8 * 8
+                                         + per_voxel[2] * 7 * 7 * 8)
+    # Nothing is evaluated when every voxel is within HALO of a cut face.
+    assert p.flops((6, 10, 8), cut) == 0
 
 
 def test_time_embedding_properties():

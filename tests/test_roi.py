@@ -115,6 +115,44 @@ def test_region_solve_matches_full_patch_bitwise(case):
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+class _CutRecorder(TinyConvPredictor):
+    """The seed-0 tiny conv net, recording the cut faces it is given."""
+
+    def __init__(self):
+        super().__init__(seed=0)
+        self.cuts_seen = set()
+
+    def _predict(self, x_t, t, c):
+        self.cuts_seen.add(c.cut)
+        return super()._predict(x_t, t, c)
+
+
+@pytest.mark.parametrize("method", ["dpm1", "dpm2_multistep", "dpm3",
+                                    "ancestral"])
+def test_region_cut_inside_and_on_patch_border(method):
+    # The nodule is flush with the low z and high x borders of the patch;
+    # the region is cut on its other four faces (low x and high z by the
+    # halo, y on both sides), so the predictor shrinks there only.
+    dims = (16, 18, 20)
+    labels = np.ones(dims, dtype=np.uint8)
+    labels[0:3, 7:10, 15:20] = NODULE
+    m = SemanticLayout(labels)
+    cfg = SolverConfig(method=method, steps=4, t_start=90, gamma=0.7)
+    s = make_schedule("cosine", T)
+    data_rng = np.random.default_rng(5)
+    x_ref = VoxelVolume(data_rng.uniform(-1.0, 1.0, dims))
+    x_init = q_sample(x_ref, cfg.t_start,
+                      VoxelVolume(data_rng.standard_normal(dims)), s)
+
+    p = _CutRecorder()
+    got = pulmonary_solve(x_init, x_ref, m, p, cfg,
+                          np.random.default_rng(9), s)
+    want = _full_patch_solve(x_init, x_ref, m, TinyConvPredictor(seed=0),
+                             cfg, np.random.default_rng(9), s)
+    assert p.cuts_seen == {((False, True), (True, True), (True, False))}
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
 def test_region_is_nodule_box_plus_halo():
     labels = np.ones((30, 30, 30), dtype=np.uint8)
     labels[10:13, 0:2, 25:30] = NODULE

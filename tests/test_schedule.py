@@ -103,14 +103,6 @@ def test_coefficients_cont_consistent_with_table(cosine1000):
     assert sig == pytest.approx(sig_t, rel=1e-9)
 
 
-def test_drift_matches_small_beta_approximation(cosine1000):
-    # For one discrete step, d log sqrt(alpha_bar) ~= 0.5 log(1 - beta)
-    # ~= -beta / 2.  Central differences should land close at mid-range t.
-    for t in (300, 500, 700):
-        beta = cosine1000.beta[t - 1]
-        assert cosine1000.drift(t) == pytest.approx(-beta / 2, rel=0.05)
-
-
 def test_diffusion_sq_nonnegative(cosine1000, linear1000):
     for s in (cosine1000, linear1000):
         for t in (1, 100, 500, 999):

@@ -33,6 +33,9 @@ def test_layout_validation():
         SemanticLayout(np.full((2, 2, 2), 3, dtype=np.uint8))
     with pytest.raises(ValueError):
         SemanticLayout(np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        SemanticLayout(np.zeros((2, 2, 2), dtype=np.uint8),
+                       cut=((True, False),) * 2)
 
 
 def test_volume_data_readonly(small_volume):
@@ -64,6 +67,11 @@ def test_crop_region_validation():
     r.validate_within((3, 4, 5))  # exact fit is allowed
     with pytest.raises(ValueError):
         r.validate_within((3, 4, 4))
+    # z and x: low face inside, high on the border; y: both inside.
+    assert r.cut_faces((3, 5, 5)) == ((True, False), (True, True),
+                                      (True, False))
+    assert CropRegion((0, 0, 0), (3, 5, 5)).cut_faces((3, 5, 5)) == \
+        ((False, False),) * 3
 
 
 # -- crop / paste ------------------------------------------------------------
