@@ -10,10 +10,9 @@ needs 1000.
 import numpy as np
 
 from nodulesynth import (AnalyticGaussianPredictor, SolverConfig, VoxelVolume,
-                         compare, dpm_solve, estimate_flops, make_schedule,
-                         make_time_grid, run_bench)
+                         ancestral_solve, compare, dpm_solve, estimate_flops,
+                         make_schedule, make_time_grid, run_bench)
 from nodulesynth.bench import BenchConfig, format_table, tiny_conv_arch
-from nodulesynth.solver import ancestral_step
 
 arch = tiny_conv_arch()
 print(f"FLOPs/eval at 64^3:  {estimate_flops(arch, (64,) * 3):.3e}")
@@ -27,9 +26,9 @@ dims = (24, 24, 24)
 def ancestral_run(seed):
     rng = np.random.default_rng(seed)
     p = AnalyticGaussianPredictor(0.0, 1.0, s)
-    x = VoxelVolume(rng.standard_normal(dims))
-    for t in range(1000, 0, -1):
-        x = ancestral_step(x, t, t - 1, p, None, rng, s)
+    grid = make_time_grid(s, SolverConfig(method="ancestral", steps=1000))
+    ancestral_solve(VoxelVolume(rng.standard_normal(dims)), grid, p, None, s,
+                    rng)
     return p.eval_count
 
 

@@ -28,13 +28,13 @@ from .predictor import (
     AnalyticGaussianPredictor,
     NoisePredictor,
     TinyConvPredictor,
-    to_data_prediction,
     train,
     train_step,
 )
 from .solver import (
     SolverConfig,
     TimeGrid,
+    ancestral_solve,
     ancestral_step,
     dpm_solve,
     expected_nfe,
@@ -73,7 +73,6 @@ __all__ = [
     "NoisePredictor",
     "AnalyticGaussianPredictor",
     "TinyConvPredictor",
-    "to_data_prediction",
     "train",
     "train_step",
     "SolverConfig",
@@ -81,6 +80,7 @@ __all__ = [
     "make_time_grid",
     "grid_from_times",
     "dpm_solve",
+    "ancestral_solve",
     "ancestral_step",
     "expected_nfe",
     "pulmonary_solve",

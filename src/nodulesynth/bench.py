@@ -21,12 +21,10 @@ from .errors import NoduleSynthError
 
 @dataclass(frozen=True)
 class ConvLayerSpec:
-    """One 3D convolution layer of a fully convolutional predictor."""
+    """One 3^3 convolution layer of a fully convolutional predictor."""
 
     in_ch: int
     out_ch: int
-    kernel: int = 3
-    kind: str = "conv3d"
 
 
 def tiny_conv_arch():
@@ -37,19 +35,11 @@ def tiny_conv_arch():
 def estimate_flops(arch, dims):
     """Analytic FLOPs of one forward pass at the given dims.
 
-    Per same-padded conv layer: 2 * k^3 * C_in * C_out * voxel count
-    (multiply-add counted as two operations).  Deterministic and purely
-    analytic; raises on non-convolutional layers.
+    Per same-padded 3^3 conv layer: 2 * 27 * C_in * C_out * voxel count
+    (multiply-add counted as two operations).
     """
     n_vox = int(np.prod(dims))
-    total = 0
-    for layer in arch:
-        if getattr(layer, "kind", None) != "conv3d":
-            raise NoduleSynthError(
-                f"unsupported architecture layer {layer!r}: "
-                "only conv3d layers have an analytic count")
-        total += 2 * layer.kernel ** 3 * layer.in_ch * layer.out_ch * n_vox
-    return total
+    return sum(2 * 27 * layer.in_ch * layer.out_ch * n_vox for layer in arch)
 
 
 @dataclass(frozen=True)
@@ -86,8 +76,9 @@ class BenchReport:
 def run_bench(cfg, n_trials=10, warmup=1):
     """Warm up, then time ``n_trials`` sequential solves.
 
-    The report is emitted if at least one trial succeeds; failures are
-    recorded and skipped.
+    The report is emitted if at least one trial succeeds; a trial that
+    raises a library error (``NoduleSynthError`` or ``ValueError``) is
+    recorded and skipped.  Any other exception is a bug and propagates.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -104,7 +95,7 @@ def run_bench(cfg, n_trials=10, warmup=1):
             t0 = time.perf_counter()
             try:
                 nfe = cfg.run(warmup + i)
-            except Exception as err:  # noqa: BLE001 - per-trial failures
+            except (NoduleSynthError, ValueError) as err:
                 failures.append(f"trial {i}: {type(err).__name__}: {err}")
                 continue
             times.append(time.perf_counter() - t0)
@@ -129,34 +120,26 @@ def run_bench(cfg, n_trials=10, warmup=1):
         trials=len(times), timed_dims=tuple(cfg.timed_dims or cfg.dims))
 
 
-def compare(reports, baseline=0, cost_ratio_threshold=None):
+def compare(reports, baseline=0):
     """Ratio table of every report against a designated baseline row.
 
     Ratios are baseline / row, so larger means the row is cheaper.  The
     combined cost ratio is the chain-FLOPs ratio (voxel ratio x NFE
-    ratio for a shared architecture); when a threshold is given the row
-    is flagged if it falls short.  Rows measured at different dims are
-    allowed (that is the point) and noted.
+    ratio for a shared architecture).  Rows measured at different dims
+    are allowed (that is the point) and noted.
     """
     if len(reports) < 2:
         raise ValueError("need at least 2 reports to compare")
     base = reports[baseline]
-    rows = []
-    for rep in reports:
-        cost_ratio = base.est_flops_chain / rep.est_flops_chain
-        row = {
-            "config": rep.config,
-            "nfe_ratio": base.nfe / rep.nfe,
-            "flops_ratio": base.est_flops_per_eval / rep.est_flops_per_eval,
-            "cost_ratio": cost_ratio,
-            "speed_ratio": base.wall_mean_s / rep.wall_mean_s,
-            "alloc_ratio": base.peak_alloc_bytes / rep.peak_alloc_bytes,
-            "dims_differ": tuple(rep.dims) != tuple(base.dims),
-        }
-        if cost_ratio_threshold is not None:
-            row["meets_threshold"] = cost_ratio >= cost_ratio_threshold
-        rows.append(row)
-    return rows
+    return [{
+        "config": rep.config,
+        "nfe_ratio": base.nfe / rep.nfe,
+        "flops_ratio": base.est_flops_per_eval / rep.est_flops_per_eval,
+        "cost_ratio": base.est_flops_chain / rep.est_flops_chain,
+        "speed_ratio": base.wall_mean_s / rep.wall_mean_s,
+        "alloc_ratio": base.peak_alloc_bytes / rep.peak_alloc_bytes,
+        "dims_differ": tuple(rep.dims) != tuple(base.dims),
+    } for rep in reports]
 
 
 def write_report_csv(reports, path):

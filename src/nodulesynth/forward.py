@@ -24,20 +24,11 @@ class NoisyState:
             raise ValueError(f"t={self.t} outside [0, {self.schedule.T}]")
 
 
-def _coeffs(s, t):
-    """(alpha_bar, sigma) at time t: table at integer steps, continuous otherwise."""
-    if float(t).is_integer():
-        ab, sig, _ = s.coefficients_at(int(t))
-    else:
-        ab, sig, _ = s.coefficients_cont(t)
-    return ab, sig
-
-
 def q_sample(x0, t, eps, s):
     """Diffuse clean data to level t: x_t = sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps."""
     if eps.dims != x0.dims:
         raise ValueError(f"eps dims {eps.dims} != x0 dims {x0.dims}")
-    ab, sig = _coeffs(s, t)
+    ab, sig, _ = s.coefficients(t)
     x_t = np.sqrt(ab) * x0.data + sig * eps.data
     return NoisyState(VoxelVolume(x_t, x0.spacing), t, s)
 

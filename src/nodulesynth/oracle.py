@@ -22,17 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictor import AnalyticGaussianPredictor
+from .schedule import coefficients_of_lambda
 from .solver import dpm_solve, grid_from_times
 from .volume import VoxelVolume
 
 
-def _ab_of_lambda(lam):
-    return 1.0 / (1.0 + math.exp(-2.0 * lam))
-
-
 def _gaussian_moments(lam, mu, var):
     """Mean and std of the diffused marginal at half-log-SNR ``lam``."""
-    ab = _ab_of_lambda(lam)
+    ab, _ = coefficients_of_lambda(lam)
     mean = math.sqrt(ab) * mu
     std = math.sqrt(ab * var + (1.0 - ab))
     return mean, std
@@ -50,7 +47,7 @@ def exact_gaussian_terminal(x_start, lam_start, lam_end, mu, var):
 
 def _flow_rhs(x, lam, mu, var):
     """dx/dlambda of the probability-flow ODE, variance-preserving form."""
-    ab = _ab_of_lambda(lam)
+    ab, _ = coefficients_of_lambda(lam)
     alpha = math.sqrt(ab)
     sig2 = 1.0 - ab
     s2 = ab * var + sig2

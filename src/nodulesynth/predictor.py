@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import FormatError, TrainingError
-from .forward import _coeffs
+from .forward import q_sample
 from .volume import NO_CUT, VoxelVolume
 
 _CKPT_MAGIC = b"LDPW"
@@ -32,8 +32,9 @@ HALO = 3
 class NoisePredictor:
     """Interface: predict(x_t, t, c) -> predicted noise volume.
 
-    ``eval_count`` increments by exactly one per predict call; samplers
-    use it for NFE accounting.
+    ``eval_count`` increments by exactly one per predict call.  The
+    solvers do not read it (their NFE is ``solver.expected_nfe``); the
+    bench chains and tests read it as a count of calls.
 
     Locality contract: the output at a voxel depends only on the input
     volume and condition within ``HALO`` voxels of it (Chebyshev
@@ -86,21 +87,10 @@ class AnalyticGaussianPredictor(NoisePredictor):
         self.schedule = schedule
 
     def _predict(self, x_t, t, c):
-        ab, sig = _coeffs(self.schedule, t)
+        ab, sig, _ = self.schedule.coefficients(t)
         denom = ab * self.var + (1.0 - ab)
         eps = sig * (x_t.data - np.sqrt(ab) * self.mu) / denom
         return VoxelVolume(eps, x_t.spacing)
-
-
-def to_data_prediction(eps_hat, x_t, t, s):
-    """Convert a noise prediction to a clean-data prediction.
-
-    x0_hat = (x_t - sigma_t * eps_hat) / sqrt(ab_t); the exact algebraic
-    inverse of the forward diffusion identity.
-    """
-    ab, sig = _coeffs(s, t)
-    x0 = (x_t.data - sig * eps_hat.data) / np.sqrt(ab)
-    return VoxelVolume(x0, x_t.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +340,7 @@ class TinyConvPredictor(NoisePredictor):
         (x_t, mask) pair, and returns (loss, grads) where loss is the
         mean squared error against the true noise.
         """
-        ab, sig = _coeffs(s, t)
-        x_t = np.sqrt(ab) * x0.data + sig * eps.data
+        x_t = q_sample(x0, t, eps, s).x_t.data
         mask = m.nodule_mask().astype(np.float64)
         out, cache = self._forward(x_t, mask, t, _blas_product)
         resid = out - eps.data

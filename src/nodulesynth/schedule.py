@@ -50,6 +50,13 @@ class NoiseSchedule:
         t = int(t)
         return float(self.alpha_bar[t]), float(self.sigma[t]), float(self.lam[t])
 
+    def coefficients(self, t):
+        """(alpha_bar, sigma, lambda) at time t: the tables at an integer
+        step, the continuous view otherwise."""
+        if float(t).is_integer():
+            return self.coefficients_at(t)
+        return self.coefficients_cont(t)
+
     # -- continuous view ------------------------------------------------
     #
     # lambda(t) is interpolated linearly between the discrete grid

@@ -8,7 +8,11 @@ Two families share one time grid:
   data-prediction form, orders 1-3), plus an optional stochastic
   perturbation during the early sampling window.
 
-``pulmonary_solve`` wraps the integrator with mask conditioning and
+Each family has one driver, :func:`dpm_solve` and :func:`ancestral_solve`.
+Inside them the state is a plain float64 array, checked for non-finite
+values once after every update; ``VoxelVolume`` appears only where a
+driver hands the state to the predictor and where it returns.
+``pulmonary_solve`` runs either driver with mask conditioning and
 per-step background re-imposition so only nodule voxels are synthesized;
 with re-imposition it evaluates only the nodule region of the patch.
 
@@ -29,7 +33,6 @@ one step ahead on a worker thread while a core is idle for it (see
 :func:`counted_request`), else on demand; the values are the same.
 """
 
-import json
 import math
 import os
 import threading
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SolverError
-from .forward import NoisyState, q_sample
+from .forward import q_sample
 from .predictor import HALO
 from .volume import CropRegion, VoxelVolume, crop, paste
 
@@ -102,10 +105,8 @@ def grid_from_times(s, ts, terminal_table=True):
     sig = np.empty_like(ts)
     lam = np.empty_like(ts)
     for i, t in enumerate(ts):
-        if terminal_table and float(t).is_integer():
-            ab[i], sig[i], lam[i] = s.coefficients_at(int(t))
-        else:
-            ab[i], sig[i], lam[i] = s.coefficients_cont(t)
+        ab[i], sig[i], lam[i] = (s.coefficients(t) if terminal_table
+                                 else s.coefficients_cont(t))
     return TimeGrid(ts, ab, sig, lam)
 
 
@@ -186,6 +187,18 @@ def dpm_update(x, history, grid, i, order):
     return x_t
 
 
+def _data_prediction(p, x, t, ab, sig, c, spacing):
+    """Clean-data prediction (x - sig * eps) / sqrt(ab) from one predictor
+    evaluation of the state array ``x`` at time t."""
+    eps = p.predict(VoxelVolume(x, spacing), t, c)
+    return (x - sig * eps.data) / math.sqrt(ab)
+
+
+def _check_finite(x, what):
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"non-finite {what}")
+
+
 def _singlestep_order2(x, x0_s, i, grid, p, c, s, spacing):
     """Singlestep second-order update from node i-1 to node i.
 
@@ -202,16 +215,17 @@ def _singlestep_order2(x, x0_s, i, grid, p, c, s, spacing):
     h = lam_t - lam_s
 
     lam_m = lam_s + 0.5 * h
+    # The plain sigmoid, not coefficients_of_lambda: that one computes
+    # e / (1 + e) for lambda < 0, which differs in the last bit for
+    # about half of the negative midpoints and so changes dpm3 outputs.
     ab_m = 1.0 / (1.0 + math.exp(-2.0 * lam_m))
     sig_m = math.sqrt(1.0 - ab_m)
     t_m = float(s.t_of_lambda(lam_m))
 
     u = ((sig_m / sig_s) * x
          - math.sqrt(ab_m) * (math.exp(-0.5 * h) - 1.0) * x0_s)
-    if not np.all(np.isfinite(u)):
-        raise SolverError(f"non-finite midpoint state at step {i}")
-    eps_m = p.predict(VoxelVolume(u, spacing), t_m, c)
-    x0_m = (u - sig_m * eps_m.data) / math.sqrt(ab_m)
+    _check_finite(u, f"midpoint state at step {i}")
+    x0_m = _data_prediction(p, u, t_m, ab_m, sig_m, c, spacing)
 
     emh = math.exp(-h)
     alpha_t = math.sqrt(ab_t)
@@ -220,45 +234,40 @@ def _singlestep_order2(x, x0_s, i, grid, p, c, s, spacing):
             - alpha_t * (emh - 1.0) * (x0_m - x0_s))
 
 
-def ancestral_step(x_t, t_hi, t_lo, p, c, rng, s):
-    """Generalized DDPM posterior step from t_hi down to t_lo.
+def ancestral_step(x, x0, t_hi, t_lo, rng, s):
+    """Generalized DDPM posterior step from integer t_hi down to t_lo.
 
-    Posterior mean from the predicted clean volume plus sigma-scaled
-    fresh noise; no noise is added on the final step to t_lo = 0.
-    Raises SolverError on a non-finite result.
+    Posterior mean from the state array ``x`` and its clean-data
+    prediction ``x0``, plus sigma-scaled fresh noise; no noise is added
+    on the final step to t_lo = 0.
     """
     if t_lo >= t_hi:
         raise ValueError(f"need t_hi > t_lo, got {t_hi} <= {t_lo}")
-    eps_hat = p.predict(x_t, t_hi, c)
-    ab_hi, sig_hi, _ = s.coefficients_at(int(t_hi))
-    ab_lo, _, _ = s.coefficients_at(int(t_lo))
-    x0_hat = (x_t.data - sig_hi * eps_hat.data) / math.sqrt(ab_hi)
+    ab_hi, _, _ = s.coefficients_at(t_hi)
+    ab_lo, _, _ = s.coefficients_at(t_lo)
     a = ab_hi / ab_lo
-    mean = (math.sqrt(a) * (1.0 - ab_lo) * x_t.data
-            + math.sqrt(ab_lo) * (1.0 - a) * x0_hat) / (1.0 - ab_hi)
+    mean = (math.sqrt(a) * (1.0 - ab_lo) * x
+            + math.sqrt(ab_lo) * (1.0 - a) * x0) / (1.0 - ab_hi)
     if t_lo > 0:
         var = (1.0 - a) * (1.0 - ab_lo) / (1.0 - ab_hi)
-        mean = mean + math.sqrt(var) * rng.standard_normal(x_t.dims)
-    if not np.all(np.isfinite(mean)):
-        raise SolverError(f"non-finite state after step t {t_hi} -> {t_lo}")
-    return VoxelVolume(mean, x_t.spacing)
+        mean = mean + math.sqrt(var) * rng.standard_normal(x.shape)
+    return mean
 
 
-def hybrid_noise(x_next, t_lo, dt, gamma, rng, s):
-    """Stochastic perturbation after a deterministic update.
+def hybrid_noise(x, t_lo, dt, gamma, rng, s):
+    """Stochastic perturbation of the state array ``x`` after a
+    deterministic update.
 
     Adds gamma * g(t_lo) * sqrt(dt) * N(0, I) while t_lo is inside the
-    early window (t_lo > 0.7 * T); a bit-identical passthrough when
-    gamma == 0 or t_lo is at/past the window (including t_lo = 0).
+    early window (t_lo > 0.7 * T); returns ``x`` itself when gamma == 0
+    or t_lo is at/past the window (including t_lo = 0).
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma == 0.0 or t_lo <= HYBRID_WINDOW_FRAC * s.T or t_lo <= 0:
-        return x_next
+        return x
     g = math.sqrt(s.diffusion_sq(t_lo))
-    noise = rng.standard_normal(x_next.dims)
-    return VoxelVolume(x_next.data + gamma * g * math.sqrt(dt) * noise,
-                       x_next.spacing)
+    return x + gamma * g * math.sqrt(dt) * rng.standard_normal(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -266,59 +275,64 @@ def hybrid_noise(x_next, t_lo, dt, gamma, rng, s):
 # ---------------------------------------------------------------------------
 
 
-def dpm_solve(x_init, grid, order, p, c, s, rng=None, gamma=0.0,
-              blend=None, step_log=None):
+def _end_step(x, grid, i, gamma, rng, s, blend):
+    """What follows every update from node i-1 to node i: the finiteness
+    check, the hybrid perturbation, then the blend."""
+    t_hi, t_lo = grid.ts[i - 1], grid.ts[i]
+    _check_finite(x, f"state after step {i} (t {t_hi} -> {t_lo})")
+    x = hybrid_noise(x, t_lo, t_hi - t_lo, gamma, rng, s)
+    return x if blend is None else blend(x, t_lo)
+
+
+def dpm_solve(x_init, grid, order, p, c, s, rng=None, gamma=0.0, blend=None):
     """Run the multistep integrator down a time grid.
 
     ``blend``, if given, is called as blend(x_data, t_lo) after every
     update and returns the blended array.  Consumes exactly len(grid)
     predictor evaluations at orders 1-2, plus one starter evaluation at
-    order 3.  Raises SolverError on non-finite states.
+    order 3.  Raises SolverError on a non-finite state after an update.
     """
     x = np.asarray(x_init.data, dtype=np.float64)
     spacing = x_init.spacing
 
-    def evaluate(x_data, i):
-        t = grid.ts[i]
-        eps_hat = p.predict(VoxelVolume(x_data, spacing), t, c)
-        ab, sig = grid.alpha_bar[i], grid.sigma[i]
-        x0 = (x_data - sig * eps_hat.data) / math.sqrt(ab)
-        return x0, grid.lam[i]
+    def evaluate(x, i):
+        return (_data_prediction(p, x, grid.ts[i], grid.alpha_bar[i],
+                                 grid.sigma[i], c, spacing), grid.lam[i])
 
     history = [evaluate(x, 0)]
     for i in range(1, len(grid)):
-        order_used = min(order, len(history))
-        # Discrete grids end with a lambda jump onto the capped t=0 node;
-        # multistep extrapolation over that jump is unstable, so the final
-        # denoising step drops to first order there.
-        if grid.sigma[i] == 0.0:
-            order_used = 1
         if order >= 3 and i == 1 and grid.sigma[i] != 0.0:
             # Second-order singlestep starter (one extra evaluation).
             x = _singlestep_order2(x, history[-1][0], i, grid, p, c, s,
                                    spacing)
-            order_used = 2
         else:
+            # Discrete grids end with a lambda jump onto the capped t=0
+            # node; multistep extrapolation over that jump is unstable,
+            # so the final denoising step drops to first order there.
+            order_used = min(order, len(history))
+            if grid.sigma[i] == 0.0:
+                order_used = 1
             x = dpm_update(x, history, grid, i, order_used)
-        t_lo, t_hi = grid.ts[i], grid.ts[i - 1]
-        if gamma > 0:
-            if not np.all(np.isfinite(x)):
-                raise SolverError(
-                    f"non-finite state after step {i} (t {t_hi} -> {t_lo})")
-            x = hybrid_noise(VoxelVolume(x, spacing), t_lo, t_hi - t_lo,
-                             gamma, rng, s).data
-        if blend is not None:
-            x = blend(x, t_lo)
-        if not np.all(np.isfinite(x)):
-            raise SolverError(
-                f"non-finite state after step {i} (t {t_hi} -> {t_lo})")
-        history.append(evaluate(x, i))
-        if len(history) > 3:
-            history.pop(0)
-        if step_log is not None:
-            step_log.append({"step": i, "t_hi": float(t_hi),
-                             "t_lo": float(t_lo), "order_used": order_used,
-                             "nfe_total": p.eval_count})
+        x = _end_step(x, grid, i, gamma, rng, s, blend)
+        history = history[-2:] + [evaluate(x, i)]
+    return VoxelVolume(x, spacing)
+
+
+def ancestral_solve(x_init, grid, p, c, s, rng, gamma=0.0, blend=None):
+    """Run the ancestral sampler down an integer time grid.
+
+    One :func:`ancestral_step` per grid interval, with the same
+    ``gamma`` perturbation and ``blend`` hook as :func:`dpm_solve`.
+    Consumes exactly len(grid) - 1 predictor evaluations.  Raises
+    SolverError on a non-finite state after an update.
+    """
+    x = np.asarray(x_init.data, dtype=np.float64)
+    spacing = x_init.spacing
+    for i in range(1, len(grid)):
+        x0 = _data_prediction(p, x, grid.ts[i - 1], grid.alpha_bar[i - 1],
+                              grid.sigma[i - 1], c, spacing)
+        x = ancestral_step(x, x0, grid.ts[i - 1], grid.ts[i], rng, s)
+        x = _end_step(x, grid, i, gamma, rng, s, blend)
     return VoxelVolume(x, spacing)
 
 
@@ -493,21 +507,10 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     noise = _RegionNoise(rng, x_ref.dims, region, noise_draws(grid, cfg, s))
     try:
         if cfg.method == "ancestral":
-            for i in range(1, len(grid)):
-                t_hi, t_lo = int(grid.ts[i - 1]), int(grid.ts[i])
-                x = ancestral_step(x, t_hi, t_lo, p, c, noise, s)
-                x = hybrid_noise(x, t_lo, t_hi - t_lo, cfg.gamma, noise, s)
-                if blend is not None:
-                    x = VoxelVolume(blend(x.data, t_lo), x.spacing)
+            x = ancestral_solve(x, grid, p, c, s, noise, cfg.gamma, blend)
         else:
             x = dpm_solve(x, grid, _METHOD_ORDER[cfg.method], p, c, s,
                           rng=noise, gamma=cfg.gamma, blend=blend)
     finally:
         noise.close()
     return x if blend is None else paste(x_ref, x, region)
-
-
-def write_step_log(entries, path):
-    with open(path, "w") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry) + "\n")

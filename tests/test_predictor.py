@@ -11,8 +11,7 @@ from nodulesynth.predictor import (HALO, Adam, AnalyticGaussianPredictor,
                                    _conv3d, _conv3d_grad_w, _conv3d_grad_x,
                                    _einsum_product, _flat_layout,
                                    _flatten_grads, _silu_layout,
-                                   _time_embedding,
-                                   to_data_prediction, train, train_step,
+                                   _time_embedding, train, train_step,
                                    write_loss_curve)
 from nodulesynth.volume import NO_CUT, SemanticLayout, VoxelVolume
 
@@ -27,10 +26,10 @@ def test_analytic_predictor_posterior_mean_identity(cosine1000, rng):
     for t in (50, 500, 950):
         ab, sig, _ = cosine1000.coefficients_at(t)
         eps_hat = p.predict(x_t, t, None)
-        x0_hat = to_data_prediction(eps_hat, x_t, t, cosine1000)
+        x0_hat = (x_t.data - sig * eps_hat.data) / np.sqrt(ab)
         post_mean = (mu * sig ** 2 + np.sqrt(ab) * var * x_t.data) \
             / (ab * var + sig ** 2)
-        np.testing.assert_allclose(x0_hat.data, post_mean, rtol=1e-10)
+        np.testing.assert_allclose(x0_hat, post_mean, rtol=1e-10)
 
 
 def test_analytic_predictor_exact_on_true_draws(cosine1000, rng):

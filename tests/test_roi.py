@@ -2,7 +2,7 @@
 
 ``pulmonary_solve`` runs its sampler on the nodule bounding box plus
 the predictor halo.  These tests compare it against a full-patch
-sampler written here from the public step functions, and tie the halo
+sampler written here from the public drivers, and tie the halo
 constant to the receptive field of the tiny conv net.
 """
 
@@ -15,9 +15,9 @@ from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (HALO, AnalyticGaussianPredictor,
                                    TinyConvPredictor, _einsum_product)
 from nodulesynth.schedule import make_schedule
-from nodulesynth.solver import (SolverConfig, ancestral_step, dpm_solve,
-                                eval_region, expected_nfe, hybrid_noise,
-                                make_time_grid, pulmonary_solve)
+from nodulesynth.solver import (SolverConfig, ancestral_solve, dpm_solve,
+                                eval_region, expected_nfe, make_time_grid,
+                                pulmonary_solve)
 from nodulesynth.volume import NODULE, SemanticLayout, VoxelVolume
 
 T = 100
@@ -51,17 +51,11 @@ def _full_patch_solve(x_init, x_ref, m, p, cfg, rng, s):
             return np.where(nodule, x_data,
                             q_sample(x_ref, t_lo, eps, s).x_t.data)
 
-    if cfg.method != "ancestral":
-        return dpm_solve(x_init.x_t, grid, ORDERS[cfg.method], p, m, s,
-                         rng=rng, gamma=cfg.gamma, blend=blend)
-    x = x_init.x_t
-    for i in range(1, len(grid)):
-        t_hi, t_lo = int(grid.ts[i - 1]), int(grid.ts[i])
-        x = ancestral_step(x, t_hi, t_lo, p, m, rng, s)
-        x = hybrid_noise(x, t_lo, t_hi - t_lo, cfg.gamma, rng, s)
-        if blend is not None:
-            x = VoxelVolume(blend(x.data, t_lo))
-    return x
+    if cfg.method == "ancestral":
+        return ancestral_solve(x_init.x_t, grid, p, m, s, rng,
+                               gamma=cfg.gamma, blend=blend)
+    return dpm_solve(x_init.x_t, grid, ORDERS[cfg.method], p, m, s,
+                     rng=rng, gamma=cfg.gamma, blend=blend)
 
 
 @st.composite

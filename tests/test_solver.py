@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nodulesynth import solver
 from nodulesynth.errors import SolverError
 from nodulesynth.forward import NoisyState, q_sample
 from nodulesynth.predictor import AnalyticGaussianPredictor, NoisePredictor
+from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import (HYBRID_WINDOW_FRAC, SolverConfig,
-                                ancestral_step, dpm_solve, dpm_update,
-                                expected_nfe, grid_from_times, hybrid_noise,
-                                make_time_grid, pulmonary_solve,
-                                write_step_log)
+                                ancestral_solve, ancestral_step, dpm_solve,
+                                dpm_update, expected_nfe, grid_from_times,
+                                hybrid_noise, make_time_grid, pulmonary_solve)
 from nodulesynth.volume import SemanticLayout, VoxelVolume
 
 
@@ -33,6 +36,27 @@ def test_make_time_grid_shape(cosine1000):
         assert grid.ts[0] == 1000 and grid.ts[-1] == 0
         assert np.all(np.diff(grid.ts) < 0)
         assert np.all(grid.ts == np.round(grid.ts))
+
+
+@st.composite
+def _grid_cases(draw):
+    T = draw(st.integers(2, 1000))
+    t_start = draw(st.integers(1, T))
+    steps = draw(st.one_of(st.sampled_from([1, t_start]),
+                           st.integers(1, t_start)))
+    return draw(st.sampled_from(["cosine", "linear"])), T, t_start, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_cases())
+def test_make_time_grid_property(case):
+    kind, T, t_start, steps = case
+    grid = make_time_grid(make_schedule(kind, T),
+                          SolverConfig(steps=steps, t_start=t_start))
+    assert len(grid) == steps + 1
+    assert np.all(grid.ts == np.round(grid.ts))
+    assert np.all(np.diff(grid.ts) < 0)
+    assert grid.ts[0] == t_start and grid.ts[-1] == 0
 
 
 def test_make_time_grid_full(cosine100):
@@ -109,9 +133,10 @@ def test_ancestral_chain_recovers_target_moments(cosine100, rng):
     # voxels must be iid draws from the data distribution N(mu, var).
     mu, var = 0.5, 0.04
     p = AnalyticGaussianPredictor(mu, var, cosine100)
-    x = VoxelVolume(rng.standard_normal((16, 16, 16)))
-    for t_hi in range(100, 0, -1):
-        x = ancestral_step(x, t_hi, t_hi - 1, p, None, rng, cosine100)
+    grid = make_time_grid(cosine100, SolverConfig(method="ancestral",
+                                                  steps=100))
+    x = ancestral_solve(VoxelVolume(rng.standard_normal((16, 16, 16))), grid,
+                        p, None, cosine100, rng)
     n = x.data.size
     assert abs(x.data.mean() - mu) < 4 * np.sqrt(var / n)
     # The plug-in posterior-mean kernel carries an O(1/T) variance bias
@@ -120,18 +145,16 @@ def test_ancestral_chain_recovers_target_moments(cosine100, rng):
 
 
 def test_ancestral_step_validation(cosine100, rng):
-    p = AnalyticGaussianPredictor(0.0, 1.0, cosine100)
-    x = VoxelVolume(rng.standard_normal((4, 4, 4)))
+    x = rng.standard_normal((4, 4, 4))
     with pytest.raises(ValueError):
-        ancestral_step(x, 10, 10, p, None, rng, cosine100)
+        ancestral_step(x, x, 10, 10, rng, cosine100)
 
 
 def test_ancestral_final_step_deterministic(cosine100, rng):
-    p = AnalyticGaussianPredictor(0.0, 1.0, cosine100)
-    x = VoxelVolume(rng.standard_normal((4, 4, 4)))
-    a = ancestral_step(x, 1, 0, p, None, np.random.default_rng(1), cosine100)
-    b = ancestral_step(x, 1, 0, p, None, np.random.default_rng(2), cosine100)
-    np.testing.assert_array_equal(a.data, b.data)
+    x, x0 = rng.standard_normal((2, 4, 4, 4))
+    a = ancestral_step(x, x0, 1, 0, np.random.default_rng(1), cosine100)
+    b = ancestral_step(x, x0, 1, 0, np.random.default_rng(2), cosine100)
+    np.testing.assert_array_equal(a, b)
 
 
 # -- NFE accounting ----------------------------------------------------------
@@ -175,7 +198,7 @@ def test_pulmonary_solve_nfe_matches_expected(cosine1000, rng, small_layout):
 
 
 def test_hybrid_noise_passthrough(cosine1000, rng):
-    x = VoxelVolume(rng.standard_normal((4, 4, 4)))
+    x = rng.standard_normal((4, 4, 4))
     assert hybrid_noise(x, 900, 1.0, 0.0, rng, cosine1000) is x
     # Below the early window: untouched even with gamma > 0.
     assert hybrid_noise(x, 300, 1.0, 0.5, rng, cosine1000) is x
@@ -183,32 +206,36 @@ def test_hybrid_noise_passthrough(cosine1000, rng):
 
 
 def test_hybrid_noise_active_in_window(cosine1000, rng):
-    x = VoxelVolume(rng.standard_normal((4, 4, 4)))
+    x = rng.standard_normal((4, 4, 4))
     t = int(HYBRID_WINDOW_FRAC * 1000) + 50
     out = hybrid_noise(x, t, 1.0, 0.5, rng, cosine1000)
-    assert not np.array_equal(out.data, x.data)
+    assert not np.array_equal(out, x)
 
 
 def test_hybrid_noise_deterministic_given_rng(cosine1000, rng):
-    x = VoxelVolume(rng.standard_normal((4, 4, 4)))
+    x = rng.standard_normal((4, 4, 4))
     a = hybrid_noise(x, 900, 2.0, 0.3, np.random.default_rng(7), cosine1000)
     b = hybrid_noise(x, 900, 2.0, 0.3, np.random.default_rng(7), cosine1000)
-    np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(a, b)
 
 
 # -- driver behavior ---------------------------------------------------------
 
 
-def test_final_step_drops_to_order1(cosine1000, rng):
+def test_final_step_drops_to_order1(cosine1000, rng, monkeypatch):
+    orders = []
+
+    def recording_update(x, history, grid, i, order):
+        orders.append(order)
+        return dpm_update(x, history, grid, i, order)
+
+    monkeypatch.setattr(solver, "dpm_update", recording_update)
     p = AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
     grid = make_time_grid(cosine1000, SolverConfig(steps=10))
-    log = []
     dpm_solve(VoxelVolume(rng.standard_normal((4, 4, 4))), grid, 2, p, None,
-              cosine1000, step_log=log)
-    assert log[-1]["t_lo"] == 0.0
-    assert log[-1]["order_used"] == 1
-    assert log[1]["order_used"] == 2
-    assert log[-1]["nfe_total"] == 11
+              cosine1000)
+    assert orders == [1] + [2] * 8 + [1]
+    assert p.eval_count == 11
 
 
 class _ExplodingPredictor(NoisePredictor):
@@ -251,6 +278,25 @@ def test_dpm_solve_raises_solver_error_on_nonfinite_with_hybrid_noise(
                         rng, cosine1000)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("method", ["dpm1", "dpm2_multistep", "dpm3",
+                                    "ancestral"])
+def test_nonfinite_update_raises_even_when_blend_hides_it(cosine1000, rng,
+                                                          method, gamma):
+    # With no nodule voxels the blend replaces every voxel by the finite
+    # background, so only a check right after the update can see the
+    # overflow.
+    x_ref = VoxelVolume(rng.standard_normal((8, 8, 8)))
+    init = q_sample(x_ref, 1000,
+                    VoxelVolume(rng.standard_normal((8, 8, 8))), cosine1000)
+    no_nodule = SemanticLayout(np.ones((8, 8, 8), dtype=np.uint8))
+    cfg = SolverConfig(method=method, steps=5, gamma=gamma)
+    with pytest.raises(SolverError, match="non-finite"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        pulmonary_solve(init, x_ref, no_nodule, _ExplodingPredictor(), cfg,
+                        rng, cosine1000)
+
+
 def test_blend_called_every_step(cosine1000, rng):
     p = AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
     grid = make_time_grid(cosine1000, SolverConfig(steps=8))
@@ -288,10 +334,3 @@ def test_pulmonary_solve_t_start_mismatch(cosine1000, rng, small_layout):
     with pytest.raises(ValueError, match="t_start"):
         pulmonary_solve(init, x_ref, small_layout, p,
                         SolverConfig(steps=10, t_start=800), rng, cosine1000)
-
-
-def test_write_step_log(tmp_path):
-    write_step_log([{"step": 1, "t_hi": 10.0}], tmp_path / "log.jsonl")
-    import json
-    lines = (tmp_path / "log.jsonl").read_text().strip().splitlines()
-    assert json.loads(lines[0])["step"] == 1
