@@ -81,8 +81,10 @@ def _rotation_matrix(angles):
     return rz @ ry @ rx
 
 
-def rasterize_ellipsoid(spec, center, dims, spacing):
-    """Boolean mask of the rotated ellipsoid at ``center`` (voxel coords).
+def _ellipsoid_box(spec, center, dims, spacing):
+    """``(slices, inside)``: the voxel box around ``center`` that can hold
+    the rotated ellipsoid, clipped to ``dims`` (empty when ``center``
+    lies far outside), and the ellipsoid's mask within it.
 
     A voxel belongs to the nodule when its physical offset from the
     center, rotated into the ellipsoid frame, lies inside the unit ball
@@ -93,17 +95,22 @@ def rasterize_ellipsoid(spec, center, dims, spacing):
     # Bounding box in voxels: the largest semi-axis covers every rotation.
     r_vox = np.ceil(max(axes) / np.asarray(spacing)).astype(int) + 1
     lo = np.maximum(np.round(center).astype(int) - r_vox, 0)
-    hi = np.minimum(np.round(center).astype(int) + r_vox + 1, dims)
-    if np.any(lo >= hi):
-        return np.zeros(dims, dtype=bool)
+    hi = np.maximum(
+        np.minimum(np.round(center).astype(int) + r_vox + 1, dims), lo)
     grids = np.meshgrid(*(np.arange(l, h) for l, h in zip(lo, hi)),
                         indexing="ij")
     offsets_mm = np.stack(
         [(g - c) * sp for g, c, sp in zip(grids, center, spacing)], axis=-1)
     local = offsets_mm @ rot  # rotate world offsets into ellipsoid frame
     inside = ((local / axes) ** 2).sum(axis=-1) <= 1.0
+    return tuple(slice(l, h) for l, h in zip(lo, hi)), inside
+
+
+def rasterize_ellipsoid(spec, center, dims, spacing):
+    """Boolean mask of the rotated ellipsoid at ``center`` (voxel coords)."""
     mask = np.zeros(dims, dtype=bool)
-    mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = inside
+    sl, inside = _ellipsoid_box(spec, center, dims, spacing)
+    mask[sl] = inside
     return mask
 
 
@@ -112,24 +119,25 @@ def place_nodule(spec, lung, spacing, rng, max_tries=100,
     """Place the ellipsoid at a random center with >= 90% of its voxels
     on lung labels.  Returns a new layout with nodule labels added.
 
-    Raises PlacementError after ``max_tries`` failed placements (the
-    caller may resample the spec).
+    Only the ellipsoid's bounding box is rasterized and counted.  Raises
+    PlacementError after ``max_tries`` failed placements (the caller may
+    resample the spec).
     """
-    lung_idx = np.argwhere(lung.labels == LUNG)
-    if len(lung_idx) == 0:
+    lung_flat = np.flatnonzero(lung.labels == LUNG)
+    if len(lung_flat) == 0:
         raise PlacementError("layout contains no lung-labeled voxels")
-    dims = np.asarray(lung.dims)
     for _ in range(max_tries):
-        center = lung_idx[rng.integers(len(lung_idx))].astype(np.float64)
-        mask = rasterize_ellipsoid(spec, center, tuple(dims), spacing)
-        n_total = int(mask.sum())
+        center = np.array(np.unravel_index(
+            lung_flat[rng.integers(len(lung_flat))], lung.dims), np.float64)
+        sl, inside = _ellipsoid_box(spec, center, lung.dims, spacing)
+        n_total = int(inside.sum())
         if n_total == 0:
             continue
-        n_lung = int((mask & (lung.labels == LUNG)).sum())
+        n_lung = int((inside & (lung.labels[sl] == LUNG)).sum())
         if n_lung / n_total < min_lung_overlap:
             continue
         labels = lung.labels.copy()
-        labels[mask] = NODULE
+        labels[sl][inside] = NODULE
         placed = SemanticLayout(labels, lung.spacing)
         object.__setattr__(placed, "_placed_spec",
                            EllipsoidSpec(spec.size_class, spec.semi_axes_mm,

@@ -361,10 +361,12 @@ def eval_region(m, cfg):
     if cfg.blend_mode != "per_step" or not nodule.any():
         return CropRegion((0, 0, 0), m.dims)
     margin = HALO * (2 if cfg.method == "dpm3" else 1)
-    idx = np.argwhere(nodule)
-    lo = np.maximum(idx.min(axis=0) - margin, 0)
-    hi = np.minimum(idx.max(axis=0) + 1 + margin, m.dims)
-    return CropRegion(lo, hi - lo)
+    lo, hi = [], []
+    for axis, n in enumerate(m.dims):
+        hit = np.flatnonzero(nodule.any(axis=tuple({0, 1, 2} - {axis})))
+        lo.append(max(hit[0] - margin, 0))
+        hi.append(min(hit[-1] + 1 + margin, n))
+    return CropRegion(lo, np.subtract(hi, lo))
 
 
 def noise_draws(grid, cfg, s):

@@ -197,16 +197,16 @@ def make_phantom(seed, dims):
     ellipsoidal low-intensity lung fields (~-0.9), and a few bright
     tube structures as vessel proxies (~0.5).
 
-    Returns (VoxelVolume, SemanticLayout) with lung voxels labeled.
-    Deterministic given the seed.
+    A tube only relabels lung voxels, so each tube is tested on the lung
+    voxels alone.  Returns (VoxelVolume, SemanticLayout) with lung
+    voxels labeled.  Deterministic given the seed.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 16 for d in dims):
         raise ValueError(f"phantom dims must be >= (16, 16, 16), got {dims}")
     rng = np.random.default_rng(seed)
     nz, ny, nx = dims
-    z, y, x = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
-                          indexing="ij")
+    z, y, x = np.ogrid[:nz, :ny, :nx]
 
     data = np.full(dims, 0.1, dtype=np.float64)
     data += 0.02 * rng.standard_normal(dims)
@@ -227,20 +227,21 @@ def make_phantom(seed, dims):
         labels[inside] = LUNG
 
     # Vessel proxies: bright tubes through the lung fields.
+    lung = np.nonzero(labels == LUNG)
     n_tubes = 3 + int(rng.integers(0, 3))
     for _ in range(n_tubes):
         p0 = rng.uniform([0, 0, 0], dims)
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
-        rel = np.stack([z - p0[0], y - p0[1], x - p0[2]], axis=-1)
+        rel = np.stack([i - c for i, c in zip(lung, p0)], axis=-1)
         along = rel @ d
         radial2 = (rel * rel).sum(axis=-1) - along ** 2
-        tube = (radial2 <= rng.uniform(1.0, 2.5) ** 2) & (labels == LUNG)
-        data[tube] = 0.5
+        tube = radial2 <= rng.uniform(1.0, 2.5) ** 2
+        data[tuple(i[tube] for i in lung)] = 0.5
 
-    data = np.clip(data, -1.0, 1.0)
+    np.clip(data, -1.0, 1.0, out=data)
     # Round through f32 so phantoms round-trip the binary format exactly.
-    data = data.astype(np.float32).astype(np.float64)
+    data[...] = data.astype(np.float32)
     return VoxelVolume(data, (1.0, 1.0, 1.0)), SemanticLayout(labels, (1.0, 1.0, 1.0))
 
 

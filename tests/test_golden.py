@@ -43,6 +43,9 @@ EAAS_GOLDEN = {
     "ancestral": (
         "16974527c3ddec8f2d718314236b32f7e120c8a047fc80028c1493508ee11eec",
         "4456a70201a3fe9525924fa62aa7b2283203e81d1b2b3c01adc79e3fab9074ed"),
+    "dpm3_midpoint": (
+        "cd10fec152c256c03e7703a33aa5329bdcb45a652bbad4196464302c183bfffd",
+        "55370f59a7f977ea48520bf5e737b88749adb5c855c858fe3946ae88dda94acc"),
     "gamma": (
         "7ba2b988b62bccfde28d238432505c2d4a5a2db798a16472abae57857a4f2e2d",
         "55e390041f812d9ec0532c25b4ea6835594d05958edc0261b85fa29b32e3c261"),
@@ -54,6 +57,12 @@ EAAS_GOLDEN = {
 EAAS_CASES = {
     "dpm3": dict(predictor="tinyconv", seed=7,
                  solver=SolverConfig(method="dpm3", steps=4)),
+    # The starter's midpoint lambda is negative here, where the plain
+    # sigmoid and coefficients_of_lambda differ in the last bit of
+    # alpha_bar; the output pins which one the dpm3 starter uses.
+    "dpm3_midpoint": dict(predictor="tinyconv", seed=11,
+                          solver=SolverConfig(method="dpm3", steps=4,
+                                              t_start=900)),
     "ancestral": dict(predictor="analytic", seed=8,
                       solver=SolverConfig(method="ancestral", steps=20,
                                           t_start=400)),

@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodulesynth.errors import PlacementError, SearchExhaustedError
 from nodulesynth.layout import (SIZE_CLASSES, EllipsoidSpec, LayoutConfig,
-                                pick_healthy_crop, place_nodule,
-                                rasterize_ellipsoid, sample_nodule_spec)
-from nodulesynth.volume import LUNG, NODULE, SemanticLayout
+                                _rotation_matrix, pick_healthy_crop,
+                                place_nodule, rasterize_ellipsoid,
+                                sample_nodule_spec)
+from nodulesynth.volume import (LUNG, NODULE, CropRegion, SemanticLayout, crop,
+                                make_phantom)
 
 
 def test_layout_config_validation():
@@ -79,6 +83,14 @@ def test_ellipsoid_volume_close_to_analytic(rng):
         assert abs(mask.sum() - analytic) / analytic < 0.15
 
 
+@pytest.mark.parametrize("center", [(-20.0, 5.0, 5.0), (50.0, 5.0, 5.0),
+                                    (5.0, 5.0, -5.0)])
+def test_rasterize_center_far_outside_is_empty(center):
+    spec = EllipsoidSpec("small", (3.0, 2.0, 2.0), (0.1, 0.2, 0.3))
+    mask = rasterize_ellipsoid(spec, center, (10, 10, 10), (1.0, 1.0, 1.0))
+    assert mask.shape == (10, 10, 10) and not mask.any()
+
+
 def test_rasterize_respects_spacing():
     spec = EllipsoidSpec("small", (4.0, 4.0, 4.0), (0.0, 0.0, 0.0))
     fine = rasterize_ellipsoid(spec, (10, 10, 10), (21, 21, 21), (1, 1, 1))
@@ -119,6 +131,88 @@ def test_place_nodule_exhausts_tries(rng):
     spec = EllipsoidSpec("large", (10.0, 10.0, 10.0), (0.0, 0.0, 0.0))
     with pytest.raises(PlacementError, match="tries"):
         place_nodule(spec, lung, (1.0, 1.0, 1.0), rng, max_tries=20)
+
+
+def _full_mask_place(spec, lung, spacing, rng, max_tries):
+    """Reference placement: each try rasterizes the ellipsoid into a
+    mask of the whole layout, counts the overlap and writes the nodule
+    over the whole layout.  Returns (labels, center)."""
+    lung_idx = np.argwhere(lung.labels == LUNG)
+    if len(lung_idx) == 0:
+        raise PlacementError("layout contains no lung-labeled voxels")
+    rot = _rotation_matrix(spec.rotation)
+    axes = np.asarray(spec.semi_axes_mm)
+    r_vox = np.ceil(max(axes) / np.asarray(spacing)).astype(int) + 1
+    for _ in range(max_tries):
+        center = lung_idx[rng.integers(len(lung_idx))].astype(np.float64)
+        lo = np.maximum(np.round(center).astype(int) - r_vox, 0)
+        hi = np.minimum(np.round(center).astype(int) + r_vox + 1, lung.dims)
+        grids = np.meshgrid(*(np.arange(l, h) for l, h in zip(lo, hi)),
+                            indexing="ij")
+        offsets_mm = np.stack(
+            [(g - c) * sp for g, c, sp in zip(grids, center, spacing)],
+            axis=-1)
+        mask = np.zeros(lung.dims, dtype=bool)
+        mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = (
+            ((offsets_mm @ rot / axes) ** 2).sum(axis=-1) <= 1.0)
+        n_total = int(mask.sum())
+        if n_total == 0:
+            continue
+        if int((mask & (lung.labels == LUNG)).sum()) / n_total < 0.9:
+            continue
+        labels = lung.labels.copy()
+        labels[mask] = NODULE
+        return labels, tuple(center)
+    raise PlacementError(
+        f"no valid placement for {spec.diameter_mm:.1f} mm nodule "
+        f"after {max_tries} tries")
+
+
+@pytest.fixture(scope="module")
+def phantom_lung():
+    return make_phantom(4, (48, 48, 48))[1]
+
+
+def _outcome(place, *args):
+    try:
+        return place(*args)
+    except PlacementError as err:
+        return str(err)
+
+
+# The crops cut the lung fields, so nodules land on the crop border; a
+# lung slab flush with the layout's faces does the same on purpose, and
+# large nodules in small crops exhaust max_tries.
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size_class=st.integers(0, 2),
+       origin=st.tuples(*[st.integers(0, 32)] * 3),
+       size=st.tuples(*[st.integers(16, 32)] * 3),
+       spacing=st.tuples(*[st.sampled_from([0.7, 1.0, 1.5])] * 3),
+       slab=st.booleans(), max_tries=st.integers(1, 40))
+@example(seed=0, size_class=2, origin=(0, 0, 0), size=(16, 16, 16),
+         spacing=(1.0, 1.0, 1.0), slab=True, max_tries=5)
+def test_place_nodule_matches_full_mask_oracle(phantom_lung, seed, size_class,
+                                               origin, size, spacing, slab,
+                                               max_tries):
+    size = tuple(min(n, 48 - o) for n, o in zip(size, origin))
+    lung = crop(phantom_lung, CropRegion(origin, size))
+    if slab:
+        labels = np.zeros(size, np.uint8)
+        labels[:6, -5:, :] = LUNG
+        lung = SemanticLayout(labels)
+    probs = tuple(float(i == size_class) for i in range(3))
+    spec = sample_nodule_spec(LayoutConfig(class_probs=probs),
+                              np.random.default_rng(seed))
+    got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+    got = _outcome(place_nodule, spec, lung, spacing, got_rng, max_tries)
+    want = _outcome(_full_mask_place, spec, lung, spacing, want_rng,
+                    max_tries)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got.labels, want[0])
+        assert got._placed_spec.center == want[1]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_pick_healthy_crop_invariants(rng):

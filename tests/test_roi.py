@@ -164,6 +164,37 @@ def test_region_is_nodule_box_plus_halo():
     assert (empty.origin, empty.size) == whole
 
 
+def _argwhere_region(m, cfg):
+    """Reference box: nodule voxel indices from ``argwhere``, then their
+    min and max per axis."""
+    nodule = m.nodule_mask()
+    if cfg.blend_mode != "per_step" or not nodule.any():
+        return (0, 0, 0), m.dims
+    margin = HALO * (2 if cfg.method == "dpm3" else 1)
+    idx = np.argwhere(nodule)
+    lo = np.maximum(idx.min(axis=0) - margin, 0)
+    hi = np.minimum(idx.max(axis=0) + 1 + margin, m.dims)
+    return tuple(lo.tolist()), tuple((hi - lo).tolist())
+
+
+# Sparse random masks in boxes of 1..12 voxels per axis: empty masks,
+# nodule voxels on the patch border and 1-voxel axes all come up.
+@settings(max_examples=80, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 12)] * 3),
+       density=st.sampled_from([0.0, 0.002, 0.02, 0.2]),
+       method=st.sampled_from(["dpm2_multistep", "dpm3", "ancestral"]),
+       blend_mode=st.sampled_from(["per_step", "init_only"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_region_matches_argwhere_box(dims, density, method, blend_mode,
+                                          seed):
+    labels = np.ones(dims, dtype=np.uint8)
+    labels[np.random.default_rng(seed).random(dims) < density] = NODULE
+    m = SemanticLayout(labels)
+    cfg = SolverConfig(method=method, blend_mode=blend_mode)
+    region = eval_region(m, cfg)
+    assert (region.origin, region.size) == _argwhere_region(m, cfg)
+
+
 def _chebyshev_from(center, dims):
     grids = np.meshgrid(*(np.arange(d) for d in dims), indexing="ij")
     return np.max([np.abs(g - c) for g, c in zip(grids, center)], axis=0)

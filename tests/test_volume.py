@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodulesynth.errors import FormatError
-from nodulesynth.volume import (CropRegion, SemanticLayout, VoxelVolume, crop,
-                                hu_to_normalized, make_phantom, paste,
+from nodulesynth.volume import (LUNG, CropRegion, SemanticLayout, VoxelVolume,
+                                crop, hu_to_normalized, make_phantom, paste,
                                 read_layout, read_volume, resample_isotropic,
                                 write_layout, write_volume)
 
@@ -241,6 +243,64 @@ def test_make_phantom_roundtrips_f32(tmp_path):
     v, _ = make_phantom(3, (16, 16, 16))
     write_volume(v, tmp_path / "p.ldpv")
     np.testing.assert_array_equal(read_volume(tmp_path / "p.ldpv").data, v.data)
+
+
+def _full_volume_phantom(seed, dims):
+    """Reference phantom: lungs on a full meshgrid and every vessel tube
+    tested on all voxels, with the same generator calls in the same
+    order as :func:`make_phantom`."""
+    rng = np.random.default_rng(seed)
+    nz, ny, nx = dims
+    z, y, x = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
+                          indexing="ij")
+    data = np.full(dims, 0.1, dtype=np.float64)
+    data += 0.02 * rng.standard_normal(dims)
+    labels = np.zeros(dims, dtype=np.uint8)
+    for side in (-1.0, 1.0):
+        cz = nz * (0.5 + 0.03 * rng.uniform(-1, 1))
+        cy = ny * (0.5 + 0.03 * rng.uniform(-1, 1))
+        cx = nx * (0.5 + side * (0.22 + 0.02 * rng.uniform(-1, 1)))
+        az = nz * (0.38 + 0.03 * rng.uniform(-1, 1))
+        ay = ny * (0.30 + 0.03 * rng.uniform(-1, 1))
+        ax = nx * (0.16 + 0.02 * rng.uniform(-1, 1))
+        inside = (((z - cz) / az) ** 2 + ((y - cy) / ay) ** 2
+                  + ((x - cx) / ax) ** 2) <= 1.0
+        data[inside] = -0.9 + 0.03 * rng.standard_normal(int(inside.sum()))
+        labels[inside] = LUNG
+    for _ in range(3 + int(rng.integers(0, 3))):
+        p0 = rng.uniform([0, 0, 0], dims)
+        d = rng.standard_normal(3)
+        d /= np.linalg.norm(d)
+        rel = np.stack([z - p0[0], y - p0[1], x - p0[2]], axis=-1)
+        along = rel @ d
+        radial2 = (rel * rel).sum(axis=-1) - along ** 2
+        tube = (radial2 <= rng.uniform(1.0, 2.5) ** 2) & (labels == LUNG)
+        data[tube] = 0.5
+    data = np.clip(data, -1.0, 1.0).astype(np.float32).astype(np.float64)
+    return data, labels
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dims=st.tuples(*[st.integers(16, 40)] * 3))
+@example(seed=0, dims=(96, 96, 96))
+def test_make_phantom_bit_identical_to_full_volume_oracle(seed, dims):
+    vol, lay = make_phantom(seed, dims)
+    data, labels = _full_volume_phantom(seed, dims)
+    assert np.array_equal(vol.data.view(np.uint64), data.view(np.uint64))
+    assert np.array_equal(lay.labels, labels)
+
+
+def test_make_phantom_memory_peak():
+    # Full-volume tube tests through (N, 3) temporaries peaked at ~109 MB.
+    make_phantom(0, (16, 16, 16))
+    tracemalloc.start()
+    try:
+        make_phantom(0, (96, 96, 96))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_make_phantom_validation():
