@@ -101,6 +101,7 @@ def run_eaas(req):
     carrier = invert_reference(ref_patch, t_start, eps, s)
     noise = VoxelVolume(rng.standard_normal(ref_patch.dims), ref_patch.spacing)
     x_init = masked_mix(carrier, noise, m)
+    del eps, carrier, noise  # full-patch arrays, freed before the solve
 
     patch = pulmonary_solve(x_init, ref_patch, m, req.predictor, cfg, rng, s)
 

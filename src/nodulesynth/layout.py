@@ -97,21 +97,18 @@ def _ellipsoid_box(spec, center, dims, spacing):
     lo = np.maximum(np.round(center).astype(int) - r_vox, 0)
     hi = np.maximum(
         np.minimum(np.round(center).astype(int) + r_vox + 1, dims), lo)
-    grids = np.meshgrid(*(np.arange(l, h) for l, h in zip(lo, hi)),
-                        indexing="ij")
-    offsets_mm = np.stack(
-        [(g - c) * sp for g, c, sp in zip(grids, center, spacing)], axis=-1)
+    # Physical offsets from the center, one axis at a time, broadcast
+    # into the (*box, 3) array that the rotation multiplies.
+    offsets_mm = np.empty(tuple(hi - lo) + (3,))
+    for axis, (l, h, c, sp) in enumerate(zip(lo, hi, center, spacing)):
+        shape = [-1 if a == axis else 1 for a in range(3)]
+        offsets_mm[..., axis] = ((np.arange(l, h) - c) * sp).reshape(shape)
     local = offsets_mm @ rot  # rotate world offsets into ellipsoid frame
-    inside = ((local / axes) ** 2).sum(axis=-1) <= 1.0
+    local /= axes
+    local *= local
+    # Summed in the order of sum(axis=-1), so boundary voxels round alike.
+    inside = local[..., 0] + local[..., 1] + local[..., 2] <= 1.0
     return tuple(slice(l, h) for l, h in zip(lo, hi)), inside
-
-
-def rasterize_ellipsoid(spec, center, dims, spacing):
-    """Boolean mask of the rotated ellipsoid at ``center`` (voxel coords)."""
-    mask = np.zeros(dims, dtype=bool)
-    sl, inside = _ellipsoid_box(spec, center, dims, spacing)
-    mask[sl] = inside
-    return mask
 
 
 def place_nodule(spec, lung, spacing, rng, max_tries=100,

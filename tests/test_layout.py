@@ -7,11 +7,20 @@ from hypothesis import strategies as st
 
 from nodulesynth.errors import PlacementError, SearchExhaustedError
 from nodulesynth.layout import (SIZE_CLASSES, EllipsoidSpec, LayoutConfig,
-                                _rotation_matrix, pick_healthy_crop,
-                                place_nodule, rasterize_ellipsoid,
+                                _ellipsoid_box, _rotation_matrix,
+                                pick_healthy_crop, place_nodule,
                                 sample_nodule_spec)
 from nodulesynth.volume import (LUNG, NODULE, CropRegion, SemanticLayout, crop,
                                 make_phantom)
+
+
+def rasterize_ellipsoid(spec, center, dims, spacing):
+    """Boolean mask of the whole ``dims`` with the ellipsoid's box written
+    in: what placement sees of the shape."""
+    mask = np.zeros(dims, dtype=bool)
+    sl, inside = _ellipsoid_box(spec, center, dims, spacing)
+    mask[sl] = inside
+    return mask
 
 
 def test_layout_config_validation():
@@ -133,6 +142,45 @@ def test_place_nodule_exhausts_tries(rng):
         place_nodule(spec, lung, (1.0, 1.0, 1.0), rng, max_tries=20)
 
 
+def _meshgrid_mask(spec, center, dims, spacing):
+    """Reference rasterizer: the ellipsoid test on a meshgrid of the
+    bounding box, summed with ``sum(axis=-1)``, in a mask of ``dims``."""
+    rot = _rotation_matrix(spec.rotation)
+    axes = np.asarray(spec.semi_axes_mm)
+    r_vox = np.ceil(max(axes) / np.asarray(spacing)).astype(int) + 1
+    lo = np.maximum(np.round(center).astype(int) - r_vox, 0)
+    hi = np.maximum(np.minimum(np.round(center).astype(int) + r_vox + 1,
+                               dims), lo)
+    grids = np.meshgrid(*(np.arange(l, h) for l, h in zip(lo, hi)),
+                        indexing="ij")
+    offsets_mm = np.stack(
+        [(g - c) * sp for g, c, sp in zip(grids, center, spacing)], axis=-1)
+    mask = np.zeros(dims, dtype=bool)
+    mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = (
+        ((offsets_mm @ rot / axes) ** 2).sum(axis=-1) <= 1.0)
+    return mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.floats(0.5, 20.0), ratios=st.tuples(*[st.floats(0.6, 1.0)] * 2),
+       rotation=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3),
+       dims=st.tuples(*[st.integers(1, 40)] * 3),
+       center=st.tuples(*[st.floats(-8.0, 48.0)] * 3),
+       spacing=st.tuples(*[st.sampled_from([0.7, 1.0, 1.5, 2.5])] * 3))
+@example(a=4.0, ratios=(1.0, 1.0), rotation=(0.0, 0.0, 0.0), dims=(15, 15, 15),
+         center=(7.0, 7.0, 7.0), spacing=(1.0, 1.0, 1.0))
+def test_ellipsoid_box_matches_meshgrid_oracle(a, ratios, rotation, dims,
+                                               center, spacing):
+    # Fractional centres, some outside the layout, and anisotropic
+    # spacing; the example puts voxels exactly on the surface.
+    spec = EllipsoidSpec("medium", (a, a * ratios[0], a * ratios[1]),
+                         rotation)
+    center = np.array(center)
+    np.testing.assert_array_equal(
+        rasterize_ellipsoid(spec, center, dims, spacing),
+        _meshgrid_mask(spec, center, dims, spacing))
+
+
 def _full_mask_place(spec, lung, spacing, rng, max_tries):
     """Reference placement: each try rasterizes the ellipsoid into a
     mask of the whole layout, counts the overlap and writes the nodule
@@ -140,21 +188,9 @@ def _full_mask_place(spec, lung, spacing, rng, max_tries):
     lung_idx = np.argwhere(lung.labels == LUNG)
     if len(lung_idx) == 0:
         raise PlacementError("layout contains no lung-labeled voxels")
-    rot = _rotation_matrix(spec.rotation)
-    axes = np.asarray(spec.semi_axes_mm)
-    r_vox = np.ceil(max(axes) / np.asarray(spacing)).astype(int) + 1
     for _ in range(max_tries):
         center = lung_idx[rng.integers(len(lung_idx))].astype(np.float64)
-        lo = np.maximum(np.round(center).astype(int) - r_vox, 0)
-        hi = np.minimum(np.round(center).astype(int) + r_vox + 1, lung.dims)
-        grids = np.meshgrid(*(np.arange(l, h) for l, h in zip(lo, hi)),
-                            indexing="ij")
-        offsets_mm = np.stack(
-            [(g - c) * sp for g, c, sp in zip(grids, center, spacing)],
-            axis=-1)
-        mask = np.zeros(lung.dims, dtype=bool)
-        mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = (
-            ((offsets_mm @ rot / axes) ** 2).sum(axis=-1) <= 1.0)
+        mask = _meshgrid_mask(spec, center, lung.dims, spacing)
         n_total = int(mask.sum())
         if n_total == 0:
             continue

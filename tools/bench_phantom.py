@@ -3,7 +3,7 @@
 Usage, from the repository root, with a clean copy of each tree:
 
     python3 tools/bench_phantom.py --parent ../parent --change ../change \
-        --pairs 10 --out BENCH_phantom.json
+        --out BENCH_phantom.json
 
 Three measurements, each run in a fresh process per checkout:
 
@@ -11,11 +11,13 @@ Three measurements, each run in a fresh process per checkout:
   64^3 and 96^3, ``place_nodule`` and ``eval_region`` per call, and
   digests of their outputs and generator states (equal digests mean
   equal bytes);
-- pairs: ``perfbench/run.py`` on every workload, parent and change
-  alternating which runs first, comparing the end-to-end metrics and
-  the per-output digests of each pair;
+- pairs: ``PAIRS`` runs of ``perfbench/run.py`` per tree on every
+  workload, ``SECONDS`` each, parent and change alternating which runs
+  first, comparing the end-to-end metrics and the per-output digests
+  of each pair;
 - faults: minor page faults (``ru_minflt``) per operation of each
-  workload after set-up, from a closed loop like perfbench's.
+  workload after set-up, from ``FAULT_RUNS`` closed loops per tree like
+  perfbench's, ``FAULT_SECONDS`` each.
 """
 
 import argparse
@@ -30,10 +32,12 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = {"synth-tinyconv-64": 3101, "synth-analytic-batch-32": 3201,
-             "train-tinyconv-32": 3301}  # first seed of each workload's pairs
+WORKLOADS = {"synth-tinyconv-64": 4101, "synth-analytic-batch-32": 4201,
+             "train-tinyconv-32": 4301}  # first seed of each workload's pairs
 METRICS = {"setup_s": "lower", "volumes_per_s": "higher",
            "call_s.p50": "lower", "peak_rss_mb": "lower"}
+PAIRS, SECONDS = 10, 30  # SECONDS is perfbench's run_seconds
+FAULT_RUNS, FAULT_SECONDS = 3, 10
 
 
 def micro():
@@ -99,13 +103,13 @@ def micro():
     return out
 
 
-def faults(workload, seed, seconds):
+def faults(workload, seed):
     import workloads
 
     state = workloads.WORKLOADS[workload].setup(seed)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start, k = time.perf_counter(), 0
-    while not k or time.perf_counter() - start < seconds:
+    while not k or time.perf_counter() - start < FAULT_SECONDS:
         state.op(k)
         k += 1
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -121,10 +125,10 @@ def child(checkout, *args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def perfbench(checkout, workload, seed, seconds):
+def perfbench(checkout, workload, seed):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True)
     result = json.loads(done.stdout.splitlines()[-1])
     record = json.loads((checkout / "perfbench" / "out" /
@@ -138,15 +142,15 @@ def quartiles(values):
     return [round(v, 4) for v in (q[0], statistics.median(values), q[2])]
 
 
-def compare_pairs(trees, pairs, seconds):
+def compare_pairs(trees):
     out = {}
     for workload, first_seed in WORKLOADS.items():
         runs = {side: [] for side in trees}
         same_digests = 0
-        for i in range(pairs):
+        for i in range(PAIRS):
             seed = first_seed + i
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-            got = {side: perfbench(trees[side], workload, seed, seconds)
+            got = {side: perfbench(trees[side], workload, seed)
                    for side in order}
             for side in trees:
                 runs[side].append(got[side])
@@ -155,8 +159,8 @@ def compare_pairs(trees, pairs, seconds):
             same_digests += got["parent"][3][:n] == got["change"][3][:n]
             print(f"{workload} seed {seed}: " + "  ".join(
                 f"{side} {got[side][0]}" for side in trees), file=sys.stderr)
-        row = {"pairs": pairs,
-               "seeds": [first_seed + i for i in range(pairs)],
+        row = {"pairs": PAIRS, "seconds": SECONDS,
+               "seeds": [first_seed + i for i in range(PAIRS)],
                "pairs_with_identical_digests": same_digests}
         for side in trees:
             row[f"{side}_failed"] = sum(r[1] for r in runs[side])
@@ -188,18 +192,17 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--fault-runs", type=int, default=3)
     ap.add_argument("--out", type=Path, default=Path("BENCH_phantom.json"))
     ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
         kind, *rest = args.child
         print(json.dumps(micro() if kind == "micro" else
-                         faults(rest[0], int(rest[1]), float(rest[2]))))
+                         faults(rest[0], int(rest[1]))))
         return
 
+    if args.parent is None or args.change is None:
+        ap.error("--parent and --change are required")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = {"machine": machine()}
     bench["micro"] = {side: child(tree, "--child", "micro")
@@ -207,12 +210,12 @@ def main():
     bench["faults"] = {}
     for workload, seed in WORKLOADS.items():
         runs = {side: [] for side in trees}
-        for i in range(args.fault_runs):
+        for i in range(FAULT_RUNS):
             for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
                 runs[side].append(child(trees[side], "--child", "faults",
-                                        workload, str(seed + i), "10"))
+                                        workload, str(seed + i)))
         bench["faults"][workload] = runs
-    bench["pairs"] = compare_pairs(trees, args.pairs, args.seconds)
+    bench["pairs"] = compare_pairs(trees)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
 
