@@ -8,6 +8,11 @@ x86-64, with a conv forward pass that multiplies each kernel tap with
 numpy's own einsum loop (never BLAS) and sums the taps in a fixed
 order; another numpy build or CPU may round differently and need them
 re-recorded from a known-good commit.
+
+The training case pins the loss curve and the final weights of
+``train``.  Its forward and backward passes multiply on BLAS, so beside
+the numpy build the BLAS library and the CPU kernel it picks (FMA or
+not, block sizes) can change its bits; re-record it the same way.
 """
 
 import hashlib
@@ -18,10 +23,12 @@ import pytest
 
 from nodulesynth.cli import main
 from nodulesynth.eaas import EaasRequest, run_eaas
-from nodulesynth.predictor import AnalyticGaussianPredictor, TinyConvPredictor
+from nodulesynth.layout import LayoutConfig, place_nodule, sample_nodule_spec
+from nodulesynth.predictor import (AnalyticGaussianPredictor, TinyConvPredictor,
+                                   train)
 from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import SolverConfig
-from nodulesynth.volume import make_phantom
+from nodulesynth.volume import CropRegion, crop, make_phantom
 
 PATCH = (24, 24, 24)
 
@@ -53,6 +60,12 @@ EAAS_GOLDEN = {
         "767998d95ec291a39508f5c4ddb6b27b0ec082827d06d4141e4b451a1c2cb0ec",
         "5c6d4eb33ec7433e045490bee3af1d2b6cb4fd45d196942085aba159e1ff47c3"),
 }
+
+# SHA-256 of (loss curve as float64 bytes, final get_flat() bytes) of
+# train() on two pairs of different dims for 2 epochs.
+TRAIN_GOLDEN = (
+    "585a08c897046e061403bc81a9edbf818922df9cf98ca7bf69ed9f680a6a927a",
+    "85829823b760756c2d3eb87a5c3f14bdc7763cb8720cabb93d988d0c1d0a942f")
 
 EAAS_CASES = {
     "dpm3": dict(predictor="tinyconv", seed=7,
@@ -118,3 +131,19 @@ def test_run_eaas_golden(case, thorax):
     got = (_sha(np.ascontiguousarray(res.full_volume.data).tobytes()),
            _sha(np.ascontiguousarray(res.full_layout.labels).tobytes()))
     assert got == EAAS_GOLDEN[case]
+
+
+def test_train_golden(thorax):
+    vol, lung = thorax
+    rng = np.random.default_rng(4)
+    pairs = []
+    for region in (CropRegion((4, 6, 5), (14, 14, 14)),
+                   CropRegion((10, 8, 12), (12, 16, 10))):
+        x0, lung_patch = crop(vol, region), crop(lung, region)
+        spec = sample_nodule_spec(LayoutConfig(max_diameter_mm=8.0), rng)
+        pairs.append((x0, place_nodule(spec, lung_patch, x0.spacing, rng)))
+    p = TinyConvPredictor(seed=1)
+    losses = train(p, pairs, make_schedule("cosine", 1000), epochs=2, seed=13)
+    got = (_sha(np.asarray(losses, np.float64).tobytes()),
+           _sha(p.get_flat().tobytes()))
+    assert got == TRAIN_GOLDEN
