@@ -102,9 +102,39 @@ _HIDDEN = 8
 _BLOCK = 8192  # flat voxels per block: a block's 27 taps stay in L2 cache
 
 
-def _layout(channels, dims, cut=NO_CUT):
-    """A zeroed flat layout for a (channels, *dims) array, and the view
-    of its interior to write that array into.
+def _fresh(slot, shape, zero=False):
+    """The allocator of inference: a new zeroed array on every call, so
+    the ``run_batch`` threads that share a predictor share no buffer."""
+    return np.zeros(shape)
+
+
+class _Workspace:
+    """The buffers of ``loss_and_grads`` for one patch shape, an
+    allocator like ``_fresh``.
+
+    The first call for a ``slot`` allocates it zeroed; later calls return
+    the same array as its last user left it, zeroed again only if
+    ``zero``.  Sites whose lifetimes do not overlap name the same slot.
+    A layout slot only ever holds layouts of one padded shape, so its
+    pads stay zero while each user rewrites its interior."""
+
+    def __init__(self, dims):
+        self.dims = dims
+        self.slots = {}
+
+    def __call__(self, slot, shape, zero=False):
+        buf = self.slots.get(slot)
+        if buf is None:
+            buf = self.slots[slot] = np.zeros(shape)
+        elif zero:
+            buf.fill(0.0)
+        return buf
+
+
+def _layout(channels, dims, cut=NO_CUT, alloc=_fresh, slot=None):
+    """A flat layout for a (channels, *dims) array with zero pads, taken
+    from ``alloc(slot, ...)``, and the view of its interior to write
+    that array into.
 
     The array is zero-padded by one voxel on every face not ``cut`` and
     its spatial axes are flattened.  The layout is the (C, L) array and
@@ -112,15 +142,15 @@ def _layout(channels, dims, cut=NO_CUT):
     q = z*S1 + y*S2 + x, S1 = P2*P3, S2 = P3."""
     pads = [(1 - lo, 1 - hi) for lo, hi in cut]
     padded = tuple(d + lo + hi for d, (lo, hi) in zip(dims, pads))
-    flat = np.zeros((channels, math.prod(padded)))
+    flat = alloc(slot, (channels, math.prod(padded)))
     box = (slice(None),) + tuple(slice(lo, lo + d)
                                  for d, (lo, _) in zip(dims, pads))
     return (flat, padded), flat.reshape(channels, *padded)[box]
 
 
-def _flat_layout(a, cut=NO_CUT):
+def _flat_layout(a, cut=NO_CUT, alloc=_fresh, slot=None):
     """The flat layout of a (C, Z, Y, X) array (see ``_layout``)."""
-    layout, interior = _layout(len(a), a.shape[1:], cut)
+    layout, interior = _layout(len(a), a.shape[1:], cut, alloc, slot)
     interior[...] = a
     return layout
 
@@ -136,17 +166,17 @@ def _taps(padded):
     return offsets, (P1 - 3) * s1 + (P2 - 3) * s2 + P3 - 2
 
 
-def _correlate(layout, w, product):
+def _correlate(layout, w, product, alloc=_fresh, slot=None):
     """"Valid" 3^3 correlation of a flat layout with w (Cout, Cin, 3, 3, 3):
     the output is the padded dims less 2 per axis, that is the input's
     dims less one voxel per cut face.  ``product(w_k, slice)`` multiplies
     one tap's (Cout, Cin) matrix into a (Cin, L) slice.  Each voxel sums
-    its taps in (dz, dy, dx) order, starting from zero; the returned view
-    drops the pad columns."""
+    its taps in (dz, dy, dx) order, starting from zero in a buffer from
+    ``alloc(slot, ...)``; the returned view of it drops the pad columns."""
     xf, (P1, P2, P3) = layout
     offsets, n = _taps((P1, P2, P3))
     wk = np.ascontiguousarray(w.reshape(*w.shape[:2], -1).transpose(2, 0, 1))
-    out = np.zeros((w.shape[0], (P1 - 2) * P2 * P3))
+    out = alloc(slot, (w.shape[0], (P1 - 2) * P2 * P3), zero=True)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         for w_k, off in zip(wk, offsets):
@@ -163,7 +193,7 @@ def _blas_product(a, b):
     return a * b if a.shape[1] == 1 else a @ b
 
 
-def _conv3d(layout, w, b=None, *, product):
+def _conv3d(layout, w, b=None, *, product, alloc=_fresh, slot=None):
     """3^3 convolution of the input x (Cin, Z, Y, X) given as
     ``_flat_layout(x, cut)``; w: (Cout, Cin, 3, 3, 3).  The output is
     "same"-padded on every face not cut and one voxel smaller on every
@@ -174,17 +204,17 @@ def _conv3d(layout, w, b=None, *, product):
     ``einsum("oi,izyx->ozyx")`` calls, where BLAS blocking and FMA round
     differently.  Training passes ``_blas_product``, as the backward does.
     """
-    out = _correlate(layout, w, product)
+    out = _correlate(layout, w, product, alloc, slot)
     if b is not None:
         out += b[:, None, None, None]
     return out
 
 
-def _conv3d_grad_x(w, glayout):
+def _conv3d_grad_x(w, glayout, alloc=_fresh, slot=None):
     """Gradient of _conv3d w.r.t. its input from gout's flat layout, on
     BLAS: gout correlated with the channel-transposed, flipped kernel."""
     flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-    return _correlate(glayout, flipped, _blas_product)
+    return _correlate(glayout, flipped, _blas_product, alloc, slot)
 
 
 def _conv3d_grad_w(layout, glayout):
@@ -202,18 +232,24 @@ def _conv3d_grad_w(layout, glayout):
     return gw.transpose(1, 2, 0).reshape(len(g), len(xf), _K, _K, _K)
 
 
-def _silu_layout(z, cut):
+def _silu_layout(z, cut, alloc=_fresh, slots=(None, None)):
     """SiLU z * expit(z), written straight into the interior of the next
-    layer's zeroed flat layout; returns that layout and expit(z)."""
-    s = expit(z)
-    layout, interior = _layout(len(z), z.shape[1:], cut)
+    layer's flat layout; returns that layout and expit(z).  ``slots``
+    name the buffers of expit(z) and of the layout."""
+    s = expit(z, out=alloc(slots[0], z.shape))
+    layout, interior = _layout(len(z), z.shape[1:], cut, alloc, slots[1])
     np.multiply(z, s, out=interior)
     return layout, s
 
 
-def _silu_grad(z, s):
-    """Derivative of SiLU z * expit(z), given s = expit(z)."""
-    return s * (1.0 + z * (1.0 - s))
+def _silu_grad(z, s, alloc, slot):
+    """Derivative of SiLU s * (1 + z * (1 - s)), given s = expit(z),
+    computed in a buffer from ``alloc(slot, ...)``."""
+    out = np.subtract(1.0, s, out=alloc(slot, s.shape))
+    out *= z
+    out += 1.0
+    out *= s
+    return out
 
 
 def _time_embedding(t):
@@ -242,6 +278,7 @@ class TinyConvPredictor(NoisePredictor):
 
     def __init__(self, seed=None):
         super().__init__()
+        self._workspace = None  # see loss_and_grads
         self.params = {}
         if seed is None:
             for name, shape in self.SHAPES:
@@ -271,9 +308,11 @@ class TinyConvPredictor(NoisePredictor):
         if offset != flat.size:
             raise ValueError(f"expected {offset} parameters, got {flat.size}")
 
-    def _forward(self, x_t_data, mask_data, t, product, cut=NO_CUT):
+    def _forward(self, x_t_data, mask_data, t, product, cut=NO_CUT,
+                 alloc=_fresh):
         """Output and backward cache; ``_predict`` passes the einsum
-        ``product``, ``loss_and_grads`` the BLAS one (see ``_conv3d``).
+        ``product``, ``loss_and_grads`` the BLAS one (see ``_conv3d``)
+        and its workspace as ``alloc``.
 
         Each layer drops one voxel per ``cut`` face, so the output is
         ``HALO`` voxels smaller there.  Training passes no cut: the
@@ -281,31 +320,39 @@ class TinyConvPredictor(NoisePredictor):
         p = self.params
         # The backward pass reuses each layer's flat input layout and
         # each SiLU's expit from the cache.
-        fx = _flat_layout(np.stack([x_t_data, mask_data.astype(np.float64)]),
-                          cut)
-        z1 = _conv3d(fx, p["w1"], p["b1"], product=product)
-        z1 = z1 + _time_embedding(t)[:, None, None, None]
-        fa1, s1 = _silu_layout(z1, cut)
-        z2 = _conv3d(fa1, p["w2"], p["b2"], product=product)
-        fa2, s2 = _silu_layout(z2, cut)
-        out = _conv3d(fa2, p["w3"], product=product)
+        fx, interior = _layout(2, x_t_data.shape, cut, alloc, "x")
+        interior[0] = x_t_data
+        interior[1] = mask_data
+        z1 = _conv3d(fx, p["w1"], p["b1"], product=product, alloc=alloc,
+                     slot="z1")
+        z1 += _time_embedding(t)[:, None, None, None]
+        fa1, s1 = _silu_layout(z1, cut, alloc, ("s1", "a1"))
+        z2 = _conv3d(fa1, p["w2"], p["b2"], product=product, alloc=alloc,
+                     slot="z2")
+        fa2, s2 = _silu_layout(z2, cut, alloc, ("s2", "a2"))
+        out = _conv3d(fa2, p["w3"], product=product, alloc=alloc, slot="out")
         cache = (fx, z1, s1, fa1, z2, s2, fa2)
         return out[0], cache
 
-    def _backward(self, gout, cache):
+    def _backward(self, g3, cache, alloc):
+        """Gradients from gout's flat layout ``g3``.  Each buffer of the
+        forward pass is reused once its last reader is done: fa2's
+        layout ("a2") holds gz2's after gw3, fa1's ("a1") gz1's after
+        gw2, and the "gx" and "gz" scratch serve both layers."""
         p = self.params
         fx, z1, s1, fa1, z2, s2, fa2 = cache
         # Each layer's gout is laid out once for both of its gradients.
         # gz2 and gz1 stay contiguous for their bias sums: a sum over
         # the layout's strided interior would round differently.
-        g3 = _flat_layout(gout[None])
         gw3 = _conv3d_grad_w(fa2, g3)
-        gz2 = _conv3d_grad_x(p["w3"], g3) * _silu_grad(z2, s2)
-        g2 = _flat_layout(gz2)
+        gz2 = _silu_grad(z2, s2, alloc, "gz")
+        gz2 *= _conv3d_grad_x(p["w3"], g3, alloc, "gx")
+        g2 = _flat_layout(gz2, alloc=alloc, slot="a2")
         gw2 = _conv3d_grad_w(fa1, g2)
         gb2 = gz2.sum(axis=(1, 2, 3))
-        gz1 = _conv3d_grad_x(p["w2"], g2) * _silu_grad(z1, s1)
-        gw1 = _conv3d_grad_w(fx, _flat_layout(gz1))
+        gz1 = _silu_grad(z1, s1, alloc, "gz")
+        gz1 *= _conv3d_grad_x(p["w2"], g2, alloc, "gx")
+        gw1 = _conv3d_grad_w(fx, _flat_layout(gz1, alloc=alloc, slot="a1"))
         gb1 = gz1.sum(axis=(1, 2, 3))
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3}
 
@@ -339,14 +386,27 @@ class TinyConvPredictor(NoisePredictor):
         Builds x_t by forward diffusion, runs the network on the
         (x_t, mask) pair, and returns (loss, grads) where loss is the
         mean squared error against the true noise.
+
+        The step's layouts, activations and gradient scratch live in a
+        workspace kept on the instance for the patch dims: allocated
+        once, rewritten in place by every later step at those dims, and
+        replaced when the dims change (~19.7 MB at 32^3).  So one
+        instance serves one training thread; ``predict`` never touches
+        the workspace, and the returned loss and grads never alias it.
         """
+        if self._workspace is None or self._workspace.dims != x0.dims:
+            self._workspace = _Workspace(x0.dims)
+        ws = self._workspace
         x_t = q_sample(x0, t, eps, s).x_t.data
-        mask = m.nodule_mask().astype(np.float64)
-        out, cache = self._forward(x_t, mask, t, _blas_product)
-        resid = out - eps.data
+        out, cache = self._forward(x_t, m.nodule_mask(), t, _blas_product,
+                                   alloc=ws)
+        # The residual is scaled in place into gout = 2 * resid / size.
+        g3, gout = _layout(1, x0.dims, NO_CUT, ws, "g3")
+        resid = np.subtract(out, eps.data, out=gout[0])
         loss = float(np.mean(resid ** 2))
-        gout = 2.0 * resid / resid.size
-        grads = self._backward(gout, cache)
+        resid *= 2.0
+        resid /= resid.size
+        grads = self._backward(g3, cache, ws)
         return loss, grads
 
     # -- checkpoint I/O --------------------------------------------------

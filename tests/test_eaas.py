@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodulesynth.eaas import (BatchItem, EaasRequest, run_batch, run_eaas,
                               write_provenance)
 from nodulesynth.layout import LayoutConfig
 from nodulesynth.predictor import (AnalyticGaussianPredictor, NoisePredictor,
-                                   TinyConvPredictor)
+                                   TinyConvPredictor, train_step)
 from nodulesynth.solver import SolverConfig
-from nodulesynth.volume import SemanticLayout, VoxelVolume, make_phantom
+from nodulesynth.volume import (CropRegion, SemanticLayout, VoxelVolume, crop,
+                                make_phantom)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +141,45 @@ def test_run_batch_matches_standalone(phantom, cosine1000):
         for it, ref in zip(items, solo):
             np.testing.assert_array_equal(it.result.full_volume.data,
                                           ref.full_volume.data)
+
+
+@pytest.fixture(scope="module")
+def trained_conv(phantom, cosine1000):
+    """A tiny conv net that has taken one training step, so it holds a
+    training workspace."""
+    vol, lay = phantom
+    region = CropRegion((8, 8, 8), (12, 12, 12))
+    p = TinyConvPredictor(seed=0)
+    train_step(p, crop(vol, region), crop(lay, region),
+               np.random.default_rng(0), cosine1000)
+    return p
+
+
+@pytest.mark.parametrize("kind", ["analytic", "trained_conv"])
+@settings(max_examples=4, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 16), min_size=2, max_size=3))
+def test_run_batch_bytes_equal_across_parallelism(phantom, cosine1000,
+                                                  trained_conv, kind, seeds):
+    predictor = trained_conv if kind == "trained_conv" \
+        else AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
+    workspace = getattr(predictor, "_workspace", None)
+    before = workspace and {k: b.tobytes() for k, b in workspace.slots.items()}
+
+    def run(parallelism):
+        items = run_batch([_request(phantom, cosine1000, seed=s,
+                                    predictor=predictor,
+                                    solver=SolverConfig(steps=4))
+                           for s in seeds], parallelism=parallelism)
+        return [(it.error, None) if it.result is None else
+                (it.result.full_volume.data.tobytes(),
+                 it.result.full_layout.labels.tobytes()) for it in items]
+
+    assert run(1) == run(2)
+    # Inference allocates its own arrays: the training workspace is
+    # untouched by requests on other threads.
+    if workspace:
+        assert predictor._workspace is workspace
+        assert {k: b.tobytes() for k, b in workspace.slots.items()} == before
 
 
 def test_run_batch_captures_failures(phantom, cosine1000):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -359,6 +361,59 @@ def test_gradcheck_sampled_params(cosine1000, rng, small_layout):
         rel = abs(num - g[i]) / max(abs(num), abs(g[i]), 1e-8)
         assert rel < 1e-5, f"param {i}: numeric {num} vs analytic {g[i]}"
     p.set_flat(flat)
+
+
+def _training_pair(dims, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, dims).astype(np.uint8)
+    return (VoxelVolume(rng.standard_normal(dims)), SemanticLayout(labels),
+            VoxelVolume(rng.standard_normal(dims)))
+
+
+def _grad_bytes(grads):
+    return {name: g.tobytes() for name, g in grads.items()}
+
+
+def test_loss_and_grads_reuses_its_workspace(cosine1000):
+    # The first call at a shape allocates the workspace; a second one at
+    # the same shape only allocates small temporaries.
+    x0, m, eps = _training_pair((16, 16, 16), 0)
+    p = TinyConvPredictor(seed=1)
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        p.loss_and_grads(x0, m, 500, eps, cosine1000)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 4
+
+
+def test_loss_and_grads_results_never_alias_the_workspace(cosine1000):
+    x0, m, eps = _training_pair((10, 11, 12), 1)
+    other = VoxelVolume(np.random.default_rng(2).standard_normal(x0.dims))
+    p = TinyConvPredictor(seed=1)
+    loss, grads = p.loss_and_grads(x0, m, 300, eps, cosine1000)
+    kept = _grad_bytes(grads)
+    p.loss_and_grads(x0, m, 300, other, cosine1000)
+    assert _grad_bytes(grads) == kept
+    fresh_loss, fresh = TinyConvPredictor(seed=1).loss_and_grads(
+        x0, m, 300, eps, cosine1000)
+    assert loss == fresh_loss
+    assert _grad_bytes(fresh) == kept
+
+
+def test_loss_and_grads_across_shapes_matches_fresh_predictors(cosine1000):
+    # A new shape replaces the workspace; coming back to the first shape
+    # gives the same bits as a predictor that never saw the other one.
+    p = TinyConvPredictor(seed=4)
+    for k, dims in enumerate([(9, 9, 9), (12, 12, 12), (9, 9, 9)]):
+        x0, m, eps = _training_pair(dims, k)
+        loss, grads = p.loss_and_grads(x0, m, 200 + k, eps, cosine1000)
+        assert p._workspace.dims == dims
+        ref_loss, ref = TinyConvPredictor(seed=4).loss_and_grads(
+            x0, m, 200 + k, eps, cosine1000)
+        assert loss == ref_loss
+        assert _grad_bytes(grads) == _grad_bytes(ref)
 
 
 def test_adam_single_step_oracle():
