@@ -131,7 +131,7 @@ class _Workspace:
         return buf
 
 
-def _layout(channels, dims, cut=NO_CUT, alloc=_fresh, slot=None):
+def _layout(channels, dims, cut, alloc, slot):
     """A flat layout for a (channels, *dims) array with zero pads, taken
     from ``alloc(slot, ...)``, and the view of its interior to write
     that array into.
@@ -166,7 +166,7 @@ def _taps(padded):
     return offsets, (P1 - 3) * s1 + (P2 - 3) * s2 + P3 - 2
 
 
-def _correlate(layout, w, product, alloc=_fresh, slot=None):
+def _correlate(layout, w, product, alloc, slot):
     """"Valid" 3^3 correlation of a flat layout with w (Cout, Cin, 3, 3, 3):
     the output is the padded dims less 2 per axis, that is the input's
     dims less one voxel per cut face.  ``product(w_k, slice)`` multiplies

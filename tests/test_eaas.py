@@ -152,6 +152,7 @@ def trained_conv(phantom, cosine1000):
     p = TinyConvPredictor(seed=0)
     train_step(p, crop(vol, region), crop(lay, region),
                np.random.default_rng(0), cosine1000)
+    assert p._workspace is not None
     return p
 
 
@@ -162,8 +163,10 @@ def test_run_batch_bytes_equal_across_parallelism(phantom, cosine1000,
                                                   trained_conv, kind, seeds):
     predictor = trained_conv if kind == "trained_conv" \
         else AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
-    workspace = getattr(predictor, "_workspace", None)
-    before = workspace and {k: b.tobytes() for k, b in workspace.slots.items()}
+
+    def workspace_bytes():
+        ws = getattr(predictor, "_workspace", None)
+        return ws and {k: b.tobytes() for k, b in ws.slots.items()}
 
     def run(parallelism):
         items = run_batch([_request(phantom, cosine1000, seed=s,
@@ -174,12 +177,11 @@ def test_run_batch_bytes_equal_across_parallelism(phantom, cosine1000,
                 (it.result.full_volume.data.tobytes(),
                  it.result.full_layout.labels.tobytes()) for it in items]
 
+    before = workspace_bytes()
     assert run(1) == run(2)
-    # Inference allocates its own arrays: the training workspace is
-    # untouched by requests on other threads.
-    if workspace:
-        assert predictor._workspace is workspace
-        assert {k: b.tobytes() for k, b in workspace.slots.items()} == before
+    # Inference allocates its own arrays: requests on other threads leave
+    # the training workspace as it was.
+    assert workspace_bytes() == before
 
 
 def test_run_batch_captures_failures(phantom, cosine1000):
