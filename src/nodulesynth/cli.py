@@ -175,7 +175,7 @@ def cmd_sample(args):
     s = _build_schedule(doc)
     solver_cfg = _build_solver(doc)
     layout_cfg = _build_layout_cfg(doc)
-    patch_size = tuple(doc.get("patch_size", (32, 32, 32)))
+    patch_size = doc.get("patch_size", (32, 32, 32))
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     if args.count < 0:
         raise ValidationError(f"--count must be >= 0, got {args.count}")
@@ -191,13 +191,16 @@ def cmd_sample(args):
             raise ValidationError("either --weights or --analytic is required")
         predictor = TinyConvPredictor.load(args.weights)
 
-    requests = [
-        EaasRequest(reference=reference, lung_layout=lung_layout,
-                    predictor=predictor, schedule=s, solver=solver_cfg,
-                    layout_cfg=layout_cfg, patch_size=patch_size,
-                    seed=seed + i)
-        for i in range(args.count)
-    ]
+    try:
+        requests = [
+            EaasRequest(reference=reference, lung_layout=lung_layout,
+                        predictor=predictor, schedule=s, solver=solver_cfg,
+                        layout_cfg=layout_cfg, patch_size=patch_size,
+                        seed=seed + i)
+            for i in range(args.count)
+        ]
+    except ValueError as err:
+        raise ValidationError(f"request: {err}") from err
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     items = run_batch(requests, parallelism=args.parallelism)
     failures = 0

@@ -20,6 +20,7 @@ from .errors import NoduleSynthError, PlacementError
 from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
+from .schedule import is_int
 from .solver import (SolverConfig, counted_request, eval_region, expected_nfe,
                      pulmonary_solve)
 from .volume import NODULE, SemanticLayout, VoxelVolume, crop, paste
@@ -39,6 +40,12 @@ class EaasRequest:
     seed: int = 0
 
     def __post_init__(self):
+        size = self.patch_size
+        if (not isinstance(size, (tuple, list)) or len(size) != 3
+                or not all(is_int(v) and v > 0 for v in size)):
+            raise ValueError(f"patch size must be 3 positive integers, got "
+                             f"{size!r}")
+        object.__setattr__(self, "patch_size", tuple(int(v) for v in size))
         if self.lung_layout.dims != self.reference.dims:
             raise ValueError(
                 f"layout dims {self.lung_layout.dims} != reference dims "

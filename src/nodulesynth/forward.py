@@ -24,13 +24,19 @@ class NoisyState:
             raise ValueError(f"t={self.t} outside [0, {self.schedule.T}]")
 
 
+def diffuse(x0, t, eps, s):
+    """sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps on plain arrays: two
+    products and one addition, in that order."""
+    ab, sig, _ = s.coefficients(t)
+    return np.sqrt(ab) * x0 + sig * eps
+
+
 def q_sample(x0, t, eps, s):
     """Diffuse clean data to level t: x_t = sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps."""
     if eps.dims != x0.dims:
         raise ValueError(f"eps dims {eps.dims} != x0 dims {x0.dims}")
-    ab, sig, _ = s.coefficients(t)
-    x_t = np.sqrt(ab) * x0.data + sig * eps.data
-    return NoisyState(VoxelVolume(x_t, x0.spacing), t, s)
+    return NoisyState(VoxelVolume(diffuse(x0.data, t, eps.data, s),
+                                  x0.spacing), t, s)
 
 
 def invert_reference(x, t_start, eps, s):

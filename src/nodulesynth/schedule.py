@@ -120,6 +120,11 @@ def coefficients_of_lambda(lam):
     return ab, math.sqrt(max(1.0 - ab, 0.0))
 
 
+def is_int(v):
+    """Whether ``v`` is a Python or numpy integer (bool is not)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _cosine_alpha_bar(t, T):
     """Closed-form squared-cosine signal fraction at step t."""
     s = COSINE_OFFSET
@@ -136,7 +141,7 @@ def make_schedule(kind, T):
     clipped to (0, 0.999]; alpha_bar is then the running product of
     (1 - beta) so the variance-preserving identity holds exactly.
     """
-    if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 2:
+    if not is_int(T) or T < 2:
         raise ValueError(f"T must be an integer >= 2, got {T!r}")
     T = int(T)
 

@@ -11,10 +11,15 @@ Two families share one time grid:
 Each family has one driver, :func:`dpm_solve` and :func:`ancestral_solve`.
 Inside them the state is a plain float64 array, checked for non-finite
 values once after every update; ``VoxelVolume`` appears only where a
-driver hands the state to the predictor and where it returns.
+driver hands the state to the predictor (one wrap per evaluation, plus
+the predictor's output) and where it returns.
 ``pulmonary_solve`` runs either driver with mask conditioning and
 per-step background re-imposition so only nodule voxels are synthesized;
 with re-imposition it evaluates only the nodule region of the patch.
+Its blend works on plain region arrays as well: the background is
+:func:`~nodulesynth.forward.diffuse` of the cropped reference and the
+cut draw (the same bits as ``q_sample``), with the nodule voxels copied
+into it in place.
 
 NFE accounting (exact, per run): multistep integrator = steps + 1
 (one warm-up evaluation at the start node, then one evaluation at every
@@ -30,21 +35,24 @@ The step that ends at t = 0 draws nothing: the ancestral step adds no
 noise there, the hybrid window is closed, and the background is the
 reference itself.  :func:`noise_draws` is that count.  The draws run
 one step ahead on a worker thread while a core is idle for it (see
-:func:`counted_request`), else on demand; the values are the same.
+:func:`counted_request`); otherwise each runs on the caller when the step
+needs it, with nothing submitted.  The values are the same either way.
 """
 
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SolverError
-from .forward import q_sample
+# q_sample is not called here; perfbench traces solver.q_sample by name.
+from .forward import diffuse, q_sample  # noqa: F401
 from .predictor import HALO
+from .schedule import is_int
 from .volume import CropRegion, VoxelVolume, crop, paste
 
 _METHOD_ORDER = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
@@ -64,8 +72,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in _METHOD_ORDER and self.method != "ancestral":
             raise ValueError(f"unknown solver method {self.method!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not is_int(self.steps) or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got "
+                             f"{self.steps!r}")
+        if self.t_start is not None and not is_int(self.t_start):
+            raise ValueError(f"t_start must be an integer or None, got "
+                             f"{self.t_start!r}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.blend_mode not in ("init_only", "per_step"):
@@ -194,9 +206,11 @@ def _data_prediction(p, x, t, ab, sig, c, spacing):
     return (x - sig * eps.data) / math.sqrt(ab)
 
 
-def _check_finite(x, what):
+def _check_finite(x, what, *args):
+    """Raise SolverError if ``x`` holds a non-finite value; the message
+    is ``what.format(*args)``, built only then."""
     if not np.all(np.isfinite(x)):
-        raise SolverError(f"non-finite {what}")
+        raise SolverError("non-finite " + what.format(*args))
 
 
 def _singlestep_order2(x, x0_s, i, grid, p, c, s, spacing):
@@ -224,7 +238,7 @@ def _singlestep_order2(x, x0_s, i, grid, p, c, s, spacing):
 
     u = ((sig_m / sig_s) * x
          - math.sqrt(ab_m) * (math.exp(-0.5 * h) - 1.0) * x0_s)
-    _check_finite(u, f"midpoint state at step {i}")
+    _check_finite(u, "midpoint state at step {}", i)
     x0_m = _data_prediction(p, u, t_m, ab_m, sig_m, c, spacing)
 
     emh = math.exp(-h)
@@ -279,7 +293,7 @@ def _end_step(x, grid, i, gamma, rng, s, blend):
     """What follows every update from node i-1 to node i: the finiteness
     check, the hybrid perturbation, then the blend."""
     t_hi, t_lo = grid.ts[i - 1], grid.ts[i]
-    _check_finite(x, f"state after step {i} (t {t_hi} -> {t_lo})")
+    _check_finite(x, "state after step {} (t {} -> {})", i, t_hi, t_lo)
     x = hybrid_noise(x, t_lo, t_hi - t_lo, gamma, rng, s)
     return x if blend is None else blend(x, t_lo)
 
@@ -418,49 +432,50 @@ class _RegionNoise:
     The ``count`` full draws run one ahead of the caller on a worker
     thread when a core is idle (see :func:`counted_request`): the next
     starts when the previous one is taken, so it overlaps the predictor
-    evaluations in between.  A draw the worker has not started when it
-    is needed (no idle core, a busy worker, a forked child) runs on the
-    caller instead.  Either way they are the same calls on the same
-    generator in the same order, so every value matches bit for bit.
-    At most one draw is in flight, so the generator is never used by two
-    threads at once; :meth:`close` waits for it.
+    evaluations in between.  Without an idle core nothing is submitted
+    and each draw runs on the caller when it is needed, as does a
+    submitted draw the worker has not started (a busy worker, a forked
+    child).  Either way they are the same calls on the same generator in
+    the same order, so every value matches bit for bit.  At most one
+    draw is in flight, so the generator is never used by two threads at
+    once; :meth:`close` waits for it.
     """
 
     def __init__(self, rng, dims, region, count):
         self._rng = rng
         self._dims = dims
-        self._region = region
-        self._left = count
-        self._next = None
-        self._submit()
+        self._size = region.size
+        self._slices = region.slices()
+        self._left = count  # draws not yet taken, the one ahead included
+        self._ahead = None
+        self._draw_ahead()
 
-    def _submit(self):
-        if self._left:
-            self._left -= 1
-            idle_core = 2 * max(_requests, 1) <= _CORES
-            self._next = (_DRAWS.submit(self._rng.standard_normal, self._dims)
-                          if idle_core else Future())
+    def _draw_ahead(self):
+        if self._left and 2 * max(_requests, 1) <= _CORES:
+            self._ahead = _DRAWS.submit(self._rng.standard_normal, self._dims)
 
     def standard_normal(self, size):
-        if tuple(size) != self._region.size:
+        if tuple(size) != self._size:
             raise ValueError(
-                f"draw of shape {tuple(size)} != region size "
-                f"{self._region.size}")
-        if self._next is None:
+                f"draw of shape {tuple(size)} != region size {self._size}")
+        if not self._left:
             raise RuntimeError("noise draw beyond the solver's noise plan")
-        if self._next.cancel():  # not started: draw here
+        self._left -= 1
+        ahead, self._ahead = self._ahead, None
+        if ahead is None or ahead.cancel():  # not started: draw here
             draw = self._rng.standard_normal(self._dims)
         else:
-            draw = self._next.result()
-        self._next = None
-        self._submit()
-        return draw[self._region.slices()]
+            draw = ahead.result()
+        self._draw_ahead()
+        return draw[self._slices]
 
     def close(self):
-        """Cancel the next draw if it has not started, else wait for it."""
-        if self._next is not None and not self._next.cancel():
-            wait([self._next])
-        self._next = None
+        """Cancel the draw ahead if it has not started, else wait for it;
+        no draw follows."""
+        if self._ahead is not None and not self._ahead.cancel():
+            wait([self._ahead])
+        self._ahead = None
+        self._left = 0
 
 
 def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
@@ -496,15 +511,16 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
 
     blend = None
     if cfg.blend_mode == "per_step":
-        ref = crop(x_ref, region)
+        ref = crop(x_ref, region).data
         nodule = c.nodule_mask()
 
         def blend(x_data, t_lo):
             if t_lo == 0:
-                return np.where(nodule, x_data, ref.data)
-            eps = VoxelVolume(noise.standard_normal(region.size), ref.spacing)
-            bg = q_sample(ref, t_lo, eps, s)
-            return np.where(nodule, x_data, bg.x_t.data)
+                bg = ref.copy()
+            else:
+                bg = diffuse(ref, t_lo, noise.standard_normal(ref.shape), s)
+            np.copyto(bg, x_data, where=nodule)
+            return bg
 
     noise = _RegionNoise(rng, x_ref.dims, region, noise_draws(grid, cfg, s))
     try:

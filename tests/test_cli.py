@@ -66,6 +66,25 @@ def test_sample_exit_codes(workdir):
                 + args[5:] + ["--analytic"]) == 4
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("steps", 10.5, "steps must be an integer"),
+    ("patch_size", [16, 16], "patch size must be 3 positive integers"),
+    ("patch_size", [16.5, 16, 16], "patch size must be 3 positive integers"),
+], ids=["fractional_steps", "two_axis_patch", "fractional_patch"])
+def test_sample_rejects_malformed_config(workdir, capsys, key, value,
+                                         message):
+    cfg = json.loads((workdir / "cfg.json").read_text())
+    (cfg["solver"] if key == "steps" else cfg)[key] = value
+    (workdir / "bad.json").write_text(json.dumps(cfg))
+    assert main(["sample", "--config", str(workdir / "bad.json"),
+                 "--reference", str(workdir / "data" / "ph0.vol.ldpv"),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--analytic", "--out-prefix",
+                 str(workdir / "bad" / "s")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (workdir / "bad").exists()
+
+
 def test_sample_analytic_and_verifier(workdir):
     assert main(["sample", "--config", str(workdir / "cfg.json"),
                  "--reference", str(workdir / "data" / "ph0.vol.ldpv"),

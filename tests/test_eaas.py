@@ -40,6 +40,21 @@ def test_request_validation(phantom, cosine1000):
                     predictor=None, schedule=cosine1000)
 
 
+@pytest.mark.parametrize("patch_size", [(16, 16), (16, 16, 16, 16),
+                                        (16.5, 16, 16), (16, 0, 16),
+                                        (16, True, 16), 16, "16x16x16"])
+def test_request_rejects_malformed_patch_size(phantom, cosine1000,
+                                              patch_size):
+    with pytest.raises(ValueError, match="3 positive integers"):
+        _request(phantom, cosine1000, patch_size=patch_size)
+
+
+def test_request_takes_numpy_integer_patch_size(phantom, cosine1000):
+    req = _request(phantom, cosine1000, patch_size=[np.int64(16)] * 3)
+    assert req.patch_size == (16, 16, 16)
+    assert all(type(v) is int for v in req.patch_size)
+
+
 def test_run_eaas_locality(phantom, cosine1000):
     vol, lay = phantom
     res = run_eaas(_request(phantom, cosine1000, seed=4))

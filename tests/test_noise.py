@@ -145,16 +145,33 @@ def test_raising_solve_leaves_no_draw_running(method, cores):
     assert len(rng.shapes) <= noise_draws(make_time_grid(s, cfg), cfg, s)
 
 
+class _ThreadRecorder:
+    """Generator stand-in that records the thread of every draw."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+        self.threads = []
+
+    def standard_normal(self, size):
+        self.threads.append(threading.current_thread())
+        return self.rng.standard_normal(size)
+
+
 def test_counted_requests_decide_where_draws_run(monkeypatch):
     monkeypatch.setattr(solver, "_CORES", 4)
     region = CropRegion((0, 0, 0), DIMS)
 
     def drawn_ahead():
-        noise = _RegionNoise(np.random.default_rng(0), DIMS, region, 1)
+        rng = _ThreadRecorder()
+        noise = _RegionNoise(rng, DIMS, region, 1)
         time.sleep(0.05)  # a submitted draw of 720 normals is done by now
-        ahead = noise._next.done() and not noise._next.cancelled()
+        started_early = len(rng.threads) == 1
+        noise.standard_normal(region.size)
         noise.close()
-        return ahead
+        assert len(rng.threads) == 1
+        on_worker = rng.threads[0] is not threading.current_thread()
+        assert started_early == on_worker
+        return on_worker
 
     assert drawn_ahead()
     with counted_request(), counted_request():

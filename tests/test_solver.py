@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import (HYBRID_WINDOW_FRAC, SolverConfig,
                                 ancestral_solve, ancestral_step, dpm_solve,
                                 dpm_update, expected_nfe, grid_from_times,
-                                hybrid_noise, make_time_grid, pulmonary_solve)
-from nodulesynth.volume import SemanticLayout, VoxelVolume
+                                eval_region, hybrid_noise, make_time_grid,
+                                pulmonary_solve)
+from nodulesynth.volume import NODULE, SemanticLayout, VoxelVolume, crop
 
 
 # -- configuration and grids -------------------------------------------------
@@ -27,6 +30,20 @@ def test_solver_config_validation():
         SolverConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(blend_mode="always")
+
+
+@pytest.mark.parametrize("field,value", [("steps", 10.5), ("steps", 10.0),
+                                         ("steps", True), ("steps", "10"),
+                                         ("t_start", 500.0),
+                                         ("t_start", False)])
+def test_solver_config_requires_integer_counts(field, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_takes_numpy_integers():
+    cfg = SolverConfig(steps=np.int64(10), t_start=np.int32(500))
+    assert make_time_grid(make_schedule("cosine", 1000), cfg).ts[0] == 500
 
 
 def test_make_time_grid_shape(cosine1000):
@@ -334,3 +351,94 @@ def test_pulmonary_solve_t_start_mismatch(cosine1000, rng, small_layout):
     with pytest.raises(ValueError, match="t_start"):
         pulmonary_solve(init, x_ref, small_layout, p,
                         SolverConfig(steps=10, t_start=800), rng, cosine1000)
+
+
+# -- the per-step background blend -------------------------------------------
+
+# VoxelVolumes one per_step solve builds outside the predictor edge: the
+# crops of the initial state and of the reference, the driver's result
+# and the paste into the reference.
+_SOLVE_EDGE_VOLUMES = 4
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+@pytest.mark.parametrize("method", ["dpm2_multistep", "ancestral"])
+def test_per_step_solve_builds_volumes_only_at_its_edges(
+        method, gamma, cosine1000, rng, small_layout, monkeypatch):
+    p = AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
+    x_ref = VoxelVolume(rng.standard_normal((8, 8, 8)))
+    init = q_sample(x_ref, 1000,
+                    VoxelVolume(rng.standard_normal((8, 8, 8))), cosine1000)
+    cfg = SolverConfig(method=method, steps=10, gamma=gamma)
+    built = Counter()
+    for cls in (VoxelVolume, NoisyState):
+        def counting(self, _check=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    pulmonary_solve(init, x_ref, small_layout, p, cfg, rng, cosine1000)
+    # Per evaluation: the state handed to the predictor and its output.
+    nfe = expected_nfe(method, cfg.steps)
+    assert p.eval_count == nfe
+    assert built["VoxelVolume"] <= 2 * nfe + _SOLVE_EDGE_VOLUMES
+    assert built["NoisyState"] == 0
+
+
+class _InputRecorder(AnalyticGaussianPredictor):
+    def __init__(self, s):
+        super().__init__(0.0, 1.0, s)
+        self.inputs = []
+
+    def _predict(self, x_t, t, c):
+        self.inputs.append((t, x_t.data.copy()))
+        return super()._predict(x_t, t, c)
+
+
+class _DrawRecorder:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def standard_normal(self, size):
+        self.draws.append(self.rng.standard_normal(size))
+        return self.draws[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(t_start=st.integers(1, 100), steps=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16))
+def test_blend_background_is_q_sample_bitwise(t_start, steps, seed):
+    # dpm2 with gamma 0 evaluates every node right after the blend and
+    # makes one draw per step that ends above t = 0, so the background
+    # the predictor sees at node i is the reference diffused with draw
+    # i - 1.  The reference holds -0.0 voxels.
+    s = make_schedule("cosine", 100)
+    steps = min(steps, t_start)
+    dims = (14, 13, 12)
+    labels = np.ones(dims, dtype=np.uint8)
+    labels[6:8, 5:8, 5:7] = NODULE
+    m = SemanticLayout(labels)
+    data_rng = np.random.default_rng(seed)
+    data = data_rng.uniform(-1.0, 1.0, dims)
+    data[data_rng.random(dims) < 0.3] = -0.0
+    x_ref = VoxelVolume(data)
+    init = q_sample(x_ref, t_start,
+                    VoxelVolume(data_rng.standard_normal(dims)), s)
+    cfg = SolverConfig(steps=steps, t_start=t_start)
+    p, rng = _InputRecorder(s), _DrawRecorder(seed)
+    pulmonary_solve(init, x_ref, m, p, cfg, rng, s)
+
+    region = eval_region(m, cfg)
+    assert region.size != dims
+    ref = crop(x_ref, region)
+    background = ~crop(m, region).nodule_mask()
+    ts = make_time_grid(s, cfg).ts
+    assert [t for t, _ in p.inputs] == list(ts)
+    for i, (t, x) in enumerate(p.inputs[1:-1], start=1):
+        eps = VoxelVolume(rng.draws[i - 1][region.slices()])
+        want = q_sample(ref, int(t), eps, s).x_t.data
+        np.testing.assert_array_equal(x[background].view(np.uint64),
+                                      want[background].view(np.uint64))
+    np.testing.assert_array_equal(p.inputs[-1][1][background].view(np.uint64),
+                                  ref.data[background].view(np.uint64))
+    assert len(rng.draws) == len(ts) - 2
