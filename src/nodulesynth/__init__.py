@@ -19,7 +19,6 @@ from .volume import (
     paste,
     read_layout,
     read_volume,
-    resample_isotropic,
     write_layout,
     write_volume,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "CropRegion",
     "crop",
     "paste",
-    "resample_isotropic",
     "make_phantom",
     "read_volume",
     "write_volume",

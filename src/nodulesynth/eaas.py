@@ -4,9 +4,11 @@ One request turns a nodule-free reference volume plus its lung layout
 into a full volume carrying one synthetic nodule and the matching
 label map: sample a nodule spec and a healthy crop, diffuse the cropped
 reference patch up to the start level, splice fresh noise under the
-nodule mask, run the mask-conditioned solver down to a clean patch, and
-paste the patch back at the exact crop coordinates.  The emitted
-(volume, layout) pair is self-labeling by construction.
+nodule mask, run the mask-conditioned solver down to its clean evaluated
+region, and paste that region once into a copy of the reference at the
+exact crop coordinates.  Every result is checked for fusion locality
+before it is returned.  The emitted (volume, layout) pair is
+self-labeling by construction.
 """
 
 import json
@@ -23,7 +25,8 @@ from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
 from .schedule import is_int
 from .solver import (SolverConfig, counted_request, eval_region, expected_nfe,
                      pulmonary_solve)
-from .volume import NODULE, SemanticLayout, VoxelVolume, crop, paste
+from .volume import (NODULE, CropRegion, SemanticLayout, VoxelVolume, crop,
+                     paste)
 
 _PLACEMENT_RETRIES = 25
 
@@ -40,6 +43,9 @@ class EaasRequest:
     seed: int = 0
 
     def __post_init__(self):
+        if not is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got "
+                             f"{self.seed!r}")
         size = self.patch_size
         if (not isinstance(size, (tuple, list)) or len(size) != 3
                 or not all(is_int(v) and v > 0 for v in size)):
@@ -59,6 +65,9 @@ class EaasRequest:
 
 @dataclass(frozen=True)
 class EaasResult:
+    """One fused output; ``patch`` is a read-only view of the ``crop``
+    box of ``full_volume``, not a copy."""
+
     full_volume: VoxelVolume
     full_layout: SemanticLayout
     crop: object
@@ -71,6 +80,25 @@ def _default_layout_cfg(req):
     patch_mm = min(sz * sp for sz, sp in
                    zip(req.patch_size, req.reference.spacing))
     return LayoutConfig(max_diameter_mm=0.8 * patch_mm)
+
+
+def _verify_fusion_locality(result, reference, blend_mode):
+    """Raise NoduleSynthError unless ``result`` left ``reference`` as it
+    was where it promises to.
+
+    Every mode leaves the volume outside the crop untouched; only
+    ``per_step`` re-imposes the background, so only it promises that no
+    voxel outside the nodule mask changes.  Voxels compare bit for bit,
+    so a -0.0 that turns into +0.0 counts as a change.
+    """
+    box = result.crop.slices()
+    changed = (result.full_volume.data.view(np.uint64)
+               != reference.data.view(np.uint64))
+    if np.count_nonzero(changed) != np.count_nonzero(changed[box]):
+        raise NoduleSynthError("fusion locality violated outside the crop")
+    if blend_mode == "per_step" and np.any(
+            changed[box] & (result.full_layout.labels[box] != NODULE)):
+        raise NoduleSynthError("voxels outside the nodule mask were modified")
 
 
 @counted_request()
@@ -110,11 +138,12 @@ def run_eaas(req):
     x_init = masked_mix(carrier, noise, m)
     del eps, carrier, noise  # full-patch arrays, freed before the solve
 
-    patch = pulmonary_solve(x_init, ref_patch, m, req.predictor, cfg, rng, s)
-
-    full_volume = paste(req.reference, patch, region)
-    full_layout = paste(req.lung_layout, m, region)
     evaluated = eval_region(m, cfg)
+    box = pulmonary_solve(x_init, ref_patch, m, req.predictor, cfg, rng, s)
+
+    full_volume = paste(req.reference, box, CropRegion(
+        np.add(region.origin, evaluated.origin), evaluated.size))
+    full_layout = paste(req.lung_layout, m, region)
     nfe = expected_nfe(cfg.method, cfg.steps)
     # Predictors that count their FLOPs (the tiny conv net) expose them.
     flops = getattr(req.predictor, "flops", None)
@@ -131,8 +160,13 @@ def run_eaas(req):
         "eval_size": list(evaluated.size),
         "eval_voxels": int(np.prod(evaluated.size)),
     }
-    return EaasResult(full_volume=full_volume, full_layout=full_layout,
-                      crop=region, patch=patch, provenance=provenance)
+    result = EaasResult(
+        full_volume=full_volume, full_layout=full_layout, crop=region,
+        patch=VoxelVolume(full_volume.data[region.slices()],
+                          full_volume.spacing),
+        provenance=provenance)
+    _verify_fusion_locality(result, req.reference, cfg.blend_mode)
+    return result
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,6 @@ class NoiseSchedule:
     sigma: np.ndarray
     lam: np.ndarray
 
-    @property
-    def alpha(self):
-        return 1.0 - self.beta
-
     def coefficients_at(self, t):
         """Return (alpha_bar_t, sigma_t, lambda_t) for an integer step t."""
         if not float(t).is_integer() or t < 0 or t > self.T:
@@ -94,15 +90,6 @@ class NoiseSchedule:
         sig2 = 1.0 - self.alpha_bar
         g2 = np.maximum(np.gradient(sig2) - 2.0 * f * sig2, 0.0)
         return float(g2[int(round(t))])
-
-    # -- serialization ---------------------------------------------------
-
-    def to_config(self):
-        return {"kind": self.kind, "T": self.T}
-
-    @classmethod
-    def from_config(cls, doc):
-        return make_schedule(doc["kind"], doc["T"])
 
 
 def coefficients_of_lambda(lam):

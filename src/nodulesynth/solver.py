@@ -15,7 +15,8 @@ driver hands the state to the predictor (one wrap per evaluation, plus
 the predictor's output) and where it returns.
 ``pulmonary_solve`` runs either driver with mask conditioning and
 per-step background re-imposition so only nodule voxels are synthesized;
-with re-imposition it evaluates only the nodule region of the patch.
+with re-imposition it evaluates only the nodule region of the patch and
+returns that region alone, for the caller to paste.
 Its blend works on plain region arrays as well: the background is
 :func:`~nodulesynth.forward.diffuse` of the cropped reference and the
 cut draw (the same bits as ``q_sample``), with the nodule voxels copied
@@ -53,7 +54,7 @@ from .errors import SolverError
 from .forward import diffuse, q_sample  # noqa: F401
 from .predictor import HALO
 from .schedule import is_int
-from .volume import CropRegion, VoxelVolume, crop, paste
+from .volume import CropRegion, VoxelVolume, crop
 
 _METHOD_ORDER = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
 # Fraction of the training horizon above which the stochastic term of
@@ -486,15 +487,16 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     non-nodule voxels are re-imposed after every update from the
     reference diffused to the current level (the reference itself at
     t=0); in ``init_only`` mode the mix happens only at initialization.
-    Returns the clean volume.
 
-    The sampler runs on the :func:`eval_region` box only.  Noise is
-    drawn at full-patch shape (one draw ahead on a worker thread while a
-    core is idle) and cut to the box; the result is the box pasted into
-    the reference, so the output is bit-identical to sampling the whole
-    patch.  When this returns or raises, no draw is in flight and
-    ``rng`` has advanced by at most :func:`noise_draws` full-patch draws
-    (exactly that many on return).
+    The sampler runs on the :func:`eval_region` box only and returns the
+    clean box: its dims are ``eval_region(m, cfg).size`` and it belongs
+    at ``eval_region(m, cfg).origin`` of the patch (the whole patch in
+    ``init_only`` mode or without nodule voxels).  Noise is drawn at
+    full-patch shape (one draw ahead on a worker thread while a core is
+    idle) and cut to the box, so the box pasted into ``x_ref`` is
+    bit-identical to sampling the whole patch.  When this returns or
+    raises, no draw is in flight and ``rng`` has advanced by at most
+    :func:`noise_draws` full-patch draws (exactly that many on return).
     """
     if x_ref.dims != x_init.x_t.dims or m.dims != x_ref.dims:
         raise ValueError(
@@ -525,10 +527,8 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     noise = _RegionNoise(rng, x_ref.dims, region, noise_draws(grid, cfg, s))
     try:
         if cfg.method == "ancestral":
-            x = ancestral_solve(x, grid, p, c, s, noise, cfg.gamma, blend)
-        else:
-            x = dpm_solve(x, grid, _METHOD_ORDER[cfg.method], p, c, s,
-                          rng=noise, gamma=cfg.gamma, blend=blend)
+            return ancestral_solve(x, grid, p, c, s, noise, cfg.gamma, blend)
+        return dpm_solve(x, grid, _METHOD_ORDER[cfg.method], p, c, s,
+                         rng=noise, gamma=cfg.gamma, blend=blend)
     finally:
         noise.close()
-    return x if blend is None else paste(x_ref, x, region)

@@ -1,9 +1,8 @@
 """Voxel volumes, semantic layouts, crop geometry, phantoms and binary I/O.
 
-Intensities live in normalized units in [-1, 1]; :func:`hu_to_normalized`
-documents the affine map from Hounsfield units with window [-1000, 400].
-Voxel order is z-major (z outermost, x innermost) everywhere, which fixes
-the byte order of the binary format.
+Intensities live in normalized units in [-1, 1].  Voxel order is z-major
+(z outermost, x innermost) everywhere, which fixes the byte order of the
+binary format.
 
 Binary format (little-endian): magic ``LDPV``, u32 version=1, u32 dtype
 (0 = f32 intensities, 1 = u8 labels), u32 x 3 dims (nz, ny, nx),
@@ -16,7 +15,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FormatError
 
@@ -138,12 +136,6 @@ class CropRegion:
                     f"exceeds parent dims {tuple(dims)}")
 
 
-def hu_to_normalized(hu):
-    """Map Hounsfield units to [-1, 1] with window [-1000, 400]."""
-    hu = np.clip(np.asarray(hu, dtype=np.float64), -1000.0, 400.0)
-    return (hu + 1000.0) / 700.0 - 1.0
-
-
 def crop(v, r):
     """Extract the subvolume (or sublayout) covered by ``r``."""
     r.validate_within(v.dims)
@@ -164,32 +156,6 @@ def paste(parent, patch, r):
     data = parent.data.copy()
     data[r.slices()] = patch.data
     return VoxelVolume(data, parent.spacing)
-
-
-def resample_isotropic(v, target):
-    """Resample to isotropic spacing.
-
-    Trilinear interpolation for volumes, nearest-neighbor for layouts.
-    Output dims are the input dims scaled by spacing / target, rounded
-    to nearest (minimum 1).  Edge samples clamp to the border voxel.
-    """
-    if target <= 0:
-        raise ValueError(f"target spacing must be positive, got {target}")
-    if all(abs(s - target) < 1e-12 for s in v.spacing):
-        return v
-    new_dims = tuple(max(1, int(round(d * s / target)))
-                     for d, s in zip(v.dims, v.spacing))
-    # Source coordinate of output voxel i along an axis: i * target / s.
-    grids = np.meshgrid(
-        *(np.arange(n, dtype=np.float64) * target / s
-          for n, s in zip(new_dims, v.spacing)),
-        indexing="ij")
-    coords = np.stack([g.ravel() for g in grids])
-    if isinstance(v, SemanticLayout):
-        out = ndimage.map_coordinates(v.labels, coords, order=0, mode="nearest")
-        return SemanticLayout(out.reshape(new_dims), (target,) * 3)
-    out = ndimage.map_coordinates(v.data, coords, order=1, mode="nearest")
-    return VoxelVolume(out.reshape(new_dims), (target,) * 3)
 
 
 def make_phantom(seed, dims):

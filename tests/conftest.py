@@ -36,3 +36,32 @@ def small_layout():
 @pytest.fixture()
 def small_volume(rng):
     return VoxelVolume(rng.standard_normal((8, 8, 8)))
+
+
+@pytest.fixture()
+def plant_sign_flip(monkeypatch):
+    """Make the first ``pulmonary_solve`` inside ``run_eaas`` turn one
+    -0.0 background voxel of its box into +0.0; returns the list of
+    flipped voxels (box indices), one entry per planted flip."""
+    import nodulesynth.eaas as eaas
+    from nodulesynth.solver import eval_region
+    from nodulesynth.volume import NODULE
+
+    honest = eaas.pulmonary_solve
+    flipped = []
+
+    def leaky(x_init, x_ref, m, p, cfg, rng, s):
+        box = honest(x_init, x_ref, m, p, cfg, rng, s)
+        if flipped:
+            return box
+        region = eval_region(m, cfg)
+        negzero = (np.signbit(box.data) & (box.data == 0.0)
+                   & (m.labels[region.slices()] != NODULE))
+        at = tuple(int(i) for i in np.argwhere(negzero)[0])
+        data = box.data.copy()
+        data[at] = 0.0
+        flipped.append(at)
+        return VoxelVolume(data, box.spacing)
+
+    monkeypatch.setattr(eaas, "pulmonary_solve", leaky)
+    return flipped

@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nodulesynth.cli import (_verify_fusion_locality, build_parser,
-                             load_config, main)
+from nodulesynth.cli import build_parser, load_config, main
+from nodulesynth.eaas import _verify_fusion_locality
 from nodulesynth.errors import NoduleSynthError, ValidationError
 from nodulesynth.volume import (CropRegion, VoxelVolume, read_layout,
                                 read_volume, write_volume)
@@ -66,13 +66,26 @@ def test_sample_exit_codes(workdir):
                 + args[5:] + ["--analytic"]) == 4
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("steps", 10.5, "steps must be an integer"),
-    ("patch_size", [16, 16], "patch size must be 3 positive integers"),
-    ("patch_size", [16.5, 16, 16], "patch size must be 3 positive integers"),
-], ids=["fractional_steps", "two_axis_patch", "fractional_patch"])
+_BAD_SEED = "seed must be a non-negative integer"
+
+
+# The request is checked once before any sampling, whatever --count is.
+@pytest.mark.parametrize("key,value,message,extra", [
+    ("steps", 10.5, "steps must be an integer", []),
+    ("patch_size", [16, 16], "patch size must be 3 positive integers", []),
+    ("patch_size", [16.5, 16, 16], "patch size must be 3 positive integers",
+     []),
+    ("patch_size", [16, 16], "patch size must be 3 positive integers",
+     ["--count", "0"]),
+    ("seed", "x", _BAD_SEED, []),
+    ("seed", 1.5, _BAD_SEED, []),
+    ("seed", -3, _BAD_SEED, []),
+    ("seed", True, _BAD_SEED, []),
+], ids=["fractional_steps", "two_axis_patch", "fractional_patch",
+        "two_axis_patch_count_0", "string_seed", "fractional_seed",
+        "negative_seed", "bool_seed"])
 def test_sample_rejects_malformed_config(workdir, capsys, key, value,
-                                         message):
+                                         message, extra):
     cfg = json.loads((workdir / "cfg.json").read_text())
     (cfg["solver"] if key == "steps" else cfg)[key] = value
     (workdir / "bad.json").write_text(json.dumps(cfg))
@@ -80,8 +93,9 @@ def test_sample_rejects_malformed_config(workdir, capsys, key, value,
                  "--reference", str(workdir / "data" / "ph0.vol.ldpv"),
                  "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
                  "--analytic", "--out-prefix",
-                 str(workdir / "bad" / "s")]) == 2
-    assert message in capsys.readouterr().err
+                 str(workdir / "bad" / "s"), *extra]) == 2
+    out = capsys.readouterr()
+    assert message in out.err and not out.out
     assert not (workdir / "bad").exists()
 
 
@@ -132,6 +146,23 @@ def test_verifier_catches_sign_flip_of_zero(workdir, where):
     with pytest.raises(NoduleSynthError):
         _verify_fusion_locality(result, VoxelVolume(data, ref.spacing),
                                 "per_step")
+
+
+def test_sample_exits_3_on_planted_sign_flip(workdir, plant_sign_flip):
+    # The library's locality check rejects the first request; the
+    # second is written as usual.
+    ref = read_volume(workdir / "data" / "ph0.vol.ldpv")
+    data = ref.data.copy()
+    data[::2] = -0.0
+    write_volume(VoxelVolume(data, ref.spacing), workdir / "negzero.vol.ldpv")
+    assert main(["sample", "--config", str(workdir / "cfg.json"),
+                 "--reference", str(workdir / "negzero.vol.ldpv"),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--analytic", "--count", "2",
+                 "--out-prefix", str(workdir / "pl" / "s")]) == 3
+    assert len(plant_sign_flip) == 1
+    assert sorted(p.name for p in (workdir / "pl").iterdir()) == [
+        "s_0001.json", "s_0001.lay.ldpv", "s_0001.vol.ldpv"]
 
 
 def test_sample_init_only(workdir):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nodulesynth.eaas import (BatchItem, EaasRequest, run_batch, run_eaas,
                               write_provenance)
+from nodulesynth.errors import NoduleSynthError
 from nodulesynth.layout import LayoutConfig
 from nodulesynth.predictor import (AnalyticGaussianPredictor, NoisePredictor,
                                    TinyConvPredictor, train_step)
@@ -49,6 +50,16 @@ def test_request_rejects_malformed_patch_size(phantom, cosine1000,
         _request(phantom, cosine1000, patch_size=patch_size)
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, -3, True, None])
+def test_request_rejects_malformed_seed(phantom, cosine1000, seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        _request(phantom, cosine1000, seed=seed)
+
+
+def test_request_takes_numpy_integer_seed(phantom, cosine1000):
+    assert _request(phantom, cosine1000, seed=np.int64(3)).seed == 3
+
+
 def test_request_takes_numpy_integer_patch_size(phantom, cosine1000):
     req = _request(phantom, cosine1000, patch_size=[np.int64(16)] * 3)
     assert req.patch_size == (16, 16, 16)
@@ -85,6 +96,43 @@ def test_run_eaas_keeps_negative_zero_background(phantom, cosine1000, method):
     changed = res.full_volume.data.view(np.uint64) != data.view(np.uint64)
     assert changed.any()
     assert not np.any(changed & ~res.full_layout.nodule_mask())
+
+
+@pytest.mark.parametrize("blend_mode", ["per_step", "init_only"])
+def test_result_patch_is_a_view_of_the_full_volume(phantom, cosine1000,
+                                                   blend_mode):
+    res = run_eaas(_request(phantom, cosine1000, seed=4,
+                            solver=SolverConfig(steps=10,
+                                                blend_mode=blend_mode)))
+    assert np.shares_memory(res.patch.data, res.full_volume.data)
+    np.testing.assert_array_equal(res.patch.data,
+                                  res.full_volume.data[res.crop.slices()])
+
+
+def _negative_zero_request(phantom, cosine1000, **kw):
+    """A request on a reference whose every other z slice is -0.0."""
+    vol, lay = phantom
+    data = vol.data.copy()
+    data[::2] = -0.0
+    return _request((VoxelVolume(data, vol.spacing), lay), cosine1000, **kw)
+
+
+def test_run_eaas_raises_on_planted_sign_flip(phantom, cosine1000,
+                                              plant_sign_flip):
+    with pytest.raises(NoduleSynthError,
+                       match="voxels outside the nodule mask were modified"):
+        run_eaas(_negative_zero_request(phantom, cosine1000, seed=4))
+    assert len(plant_sign_flip) == 1
+
+
+def test_run_batch_records_planted_sign_flip(phantom, cosine1000,
+                                             plant_sign_flip):
+    items = run_batch([_negative_zero_request(phantom, cosine1000, seed=s)
+                       for s in (4, 5)])
+    assert items[0].result is None
+    assert items[0].error == ("NoduleSynthError: voxels outside the nodule "
+                              "mask were modified")
+    assert items[1].error is None and items[1].result is not None
 
 
 def test_run_eaas_deterministic(phantom, cosine1000):

@@ -1,9 +1,10 @@
 """The per-step solver evaluates only the nodule region, bit for bit.
 
 ``pulmonary_solve`` runs its sampler on the nodule bounding box plus
-the predictor halo.  These tests compare it against a full-patch
-sampler written here from the public drivers, and tie the halo
-constant to the receptive field of the tiny conv net.
+the predictor halo and returns that box.  These tests paste the box
+into the reference, compare it against a full-patch sampler written
+here from the public drivers, and tie the halo constant to the
+receptive field of the tiny conv net.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import (SolverConfig, ancestral_solve, dpm_solve,
                                 eval_region, expected_nfe, make_time_grid,
                                 pulmonary_solve)
-from nodulesynth.volume import NODULE, SemanticLayout, VoxelVolume
+from nodulesynth.volume import NODULE, SemanticLayout, VoxelVolume, paste
 
 T = 100
 ORDERS = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
@@ -101,10 +102,12 @@ def test_region_solve_matches_full_patch_bitwise(case):
     want = _full_patch_solve(x_init, x_ref, m, TinyConvPredictor(seed=0),
                              cfg, want_rng, s)
 
-    assert got.dims == m.dims
+    region = eval_region(m, cfg)
+    assert got.dims == region.size
+    got = paste(x_ref, got, region)
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
     assert p.eval_count == expected_nfe(cfg.method, cfg.steps)
-    assert set(p.dims_seen) == {eval_region(m, cfg).size}
+    assert set(p.dims_seen) == {region.size}
     # Both consumed the same full-patch draws.
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -144,6 +147,9 @@ def test_region_cut_inside_and_on_patch_border(method):
     want = _full_patch_solve(x_init, x_ref, m, TinyConvPredictor(seed=0),
                              cfg, np.random.default_rng(9), s)
     assert p.cuts_seen == {((False, True), (True, True), (True, False))}
+    region = eval_region(m, cfg)
+    assert got.dims == region.size
+    got = paste(x_ref, got, region)
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nodulesynth.schedule import (BETA_MAX, COSINE_OFFSET, LAMBDA_CAP,
-                                  NoiseSchedule, coefficients_of_lambda,
-                                  make_schedule)
+                                  coefficients_of_lambda, make_schedule)
 
 
 def test_cosine_alpha_bar_matches_closed_form(cosine1000):
@@ -107,14 +106,6 @@ def test_diffusion_sq_nonnegative(cosine1000, linear1000):
     for s in (cosine1000, linear1000):
         for t in (1, 100, 500, 999):
             assert s.diffusion_sq(t) >= 0.0
-
-
-def test_config_roundtrip(cosine100):
-    doc = cosine100.to_config()
-    assert doc == {"kind": "cosine", "T": 100}
-    s2 = NoiseSchedule.from_config(doc)
-    np.testing.assert_array_equal(s2.alpha_bar, cosine100.alpha_bar)
-    np.testing.assert_array_equal(s2.beta, cosine100.beta)
 
 
 def test_make_schedule_validation():

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from nodulesynth.errors import FormatError
 from nodulesynth.volume import (LUNG, CropRegion, SemanticLayout, VoxelVolume,
-                                crop, hu_to_normalized, make_phantom, paste,
-                                read_layout, read_volume, resample_isotropic,
-                                write_layout, write_volume)
+                                crop, make_phantom, paste, read_layout,
+                                read_volume, write_layout, write_volume)
 
 dims_st = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
 
@@ -196,37 +195,6 @@ def test_read_payload_size_mismatch(tmp_path, rng):
 
 
 # -- misc --------------------------------------------------------------------
-
-
-def test_hu_to_normalized_window():
-    assert hu_to_normalized(-1000.0) == -1.0
-    assert hu_to_normalized(400.0) == 1.0
-    assert hu_to_normalized(-300.0) == pytest.approx(0.0)
-    # Values outside the window clip.
-    assert hu_to_normalized(-2000.0) == -1.0
-    assert hu_to_normalized(3000.0) == 1.0
-
-
-def test_resample_identity(rng):
-    v = VoxelVolume(rng.standard_normal((5, 5, 5)), (1.0, 1.0, 1.0))
-    assert resample_isotropic(v, 1.0) is v
-
-
-def test_resample_scales_dims(rng):
-    v = VoxelVolume(rng.standard_normal((8, 8, 8)), (2.0, 2.0, 2.0))
-    out = resample_isotropic(v, 1.0)
-    assert out.dims == (16, 16, 16)
-    assert out.spacing == (1.0, 1.0, 1.0)
-    # Samples at original voxel locations are preserved by trilinear interp.
-    np.testing.assert_allclose(out.data[::2, ::2, ::2], v.data, atol=1e-12)
-
-
-def test_resample_layout_nearest(small_layout):
-    lay = SemanticLayout(small_layout.labels, (2.0, 2.0, 2.0))
-    out = resample_isotropic(lay, 1.0)
-    assert out.dims == (16, 16, 16)
-    assert set(np.unique(out.labels)) <= {0, 1, 2}
-    np.testing.assert_array_equal(out.labels[::2, ::2, ::2], lay.labels)
 
 
 def test_make_phantom_deterministic():
