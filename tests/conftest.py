@@ -41,8 +41,8 @@ def small_volume(rng):
 @pytest.fixture()
 def plant_sign_flip(monkeypatch):
     """Make the first ``pulmonary_solve`` inside ``run_eaas`` turn one
-    -0.0 background voxel of its box into +0.0; returns the list of
-    flipped voxels (box indices), one entry per planted flip."""
+    -0.0 background voxel of its box into +0.0; returns a list that
+    receives that voxel's index in the box once the flip is planted."""
     import nodulesynth.eaas as eaas
     from nodulesynth.solver import eval_region
     from nodulesynth.volume import NODULE
