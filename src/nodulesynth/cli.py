@@ -163,6 +163,9 @@ def cmd_sample(args):
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     if args.count < 0:
         raise ValidationError(f"--count must be >= 0, got {args.count}")
+    if args.parallelism < 1:
+        raise ValidationError(
+            f"--parallelism must be >= 1, got {args.parallelism}")
 
     reference = read_volume(args.reference)
     lung_layout = read_layout(args.lung_layout)

@@ -23,8 +23,8 @@ from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
 from .schedule import is_int
-from .solver import (SolverConfig, counted_request, eval_region, expected_nfe,
-                     pulmonary_solve)
+from .solver import SolverConfig, eval_region, expected_nfe, pulmonary_solve
+from .spare import counted_request
 from .volume import (NODULE, CropRegion, SemanticLayout, VoxelVolume, crop,
                      paste)
 

@@ -11,6 +11,7 @@ finite-difference gradient checks stay tractable.
 import csv
 import math
 import struct
+from collections import defaultdict
 from functools import partial
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy.special import expit
 
 from .errors import FormatError, TrainingError
 from .forward import q_sample
+from .spare import counted_request, settle, submit
 from .volume import NO_CUT, VoxelVolume
 
 _CKPT_MAGIC = b"LDPW"
@@ -118,8 +120,7 @@ class _Workspace:
     A layout slot only ever holds layouts of one padded shape, so its
     pads stay zero while each user rewrites its interior."""
 
-    def __init__(self, dims):
-        self.dims = dims
+    def __init__(self):
         self.slots = {}
 
     def __call__(self, slot, shape, zero=False):
@@ -172,15 +173,29 @@ def _correlate(layout, w, product, alloc, slot):
     dims less one voxel per cut face.  ``product(w_k, slice)`` multiplies
     one tap's (Cout, Cin) matrix into a (Cin, L) slice.  Each voxel sums
     its taps in (dz, dy, dx) order, starting from zero in a buffer from
-    ``alloc(slot, ...)``; the returned view of it drops the pad columns."""
+    ``alloc(slot, ...)``; the returned view of it drops the pad columns.
+    The caller and, while a core is idle, one task on the spare worker
+    (``spare.submit``) take blocks of ``_BLOCK`` columns from one
+    iterator; a layer of one block runs on the caller alone.  A block's
+    columns are written by one thread, with the same products summed in
+    the same tap order, so no byte depends on which thread ran it."""
     xf, (P1, P2, P3) = layout
     offsets, n = _taps((P1, P2, P3))
     wk = np.ascontiguousarray(w.reshape(*w.shape[:2], -1).transpose(2, 0, 1))
     out = alloc(slot, (w.shape[0], (P1 - 2) * P2 * P3), zero=True)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        for w_k, off in zip(wk, offsets):
-            out[:, lo:hi] += product(w_k, xf[:, lo + off:hi + off])
+    blocks = iter(range(0, n, _BLOCK))  # next() holds the GIL throughout
+
+    def run():
+        for lo in blocks:
+            hi = min(lo + _BLOCK, n)
+            for w_k, off in zip(wk, offsets):
+                out[:, lo:hi] += product(w_k, xf[:, lo + off:hi + off])
+
+    task = submit(run) if n > _BLOCK else None
+    try:
+        run()
+    finally:
+        settle(task)
     return out.reshape(-1, P1 - 2, P2, P3)[:, :, :P2 - 2, :P3 - 2]
 
 
@@ -278,7 +293,7 @@ class TinyConvPredictor(NoisePredictor):
 
     def __init__(self, seed=None):
         super().__init__()
-        self._workspace = None  # see loss_and_grads
+        self._workspaces = defaultdict(_Workspace)  # see loss_and_grads
         self.params = {}
         if seed is None:
             for name, shape in self.SHAPES:
@@ -388,15 +403,14 @@ class TinyConvPredictor(NoisePredictor):
         mean squared error against the true noise.
 
         The step's layouts, activations and gradient scratch live in a
-        workspace kept on the instance for the patch dims: allocated
-        once, rewritten in place by every later step at those dims, and
-        replaced when the dims change (~19.7 MB at 32^3).  So one
-        instance serves one training thread; ``predict`` never touches
-        the workspace, and the returned loss and grads never alias it.
+        workspace kept on the instance for each patch dims seen:
+        allocated at the first step at those dims and rewritten in place
+        by every later one (~19.7 MB per 32^3 shape, kept as long as the
+        instance).  So one instance serves one training thread;
+        ``predict`` never touches the workspaces, and the returned loss
+        and grads never alias them.
         """
-        if self._workspace is None or self._workspace.dims != x0.dims:
-            self._workspace = _Workspace(x0.dims)
-        ws = self._workspace
+        ws = self._workspaces[x0.dims]
         x_t = q_sample(x0, t, eps, s).x_t.data
         out, cache = self._forward(x_t, m.nodule_mask(), t, _blas_product,
                                    alloc=ws)
@@ -462,9 +476,11 @@ def _flatten_grads(p, grads):
     return np.concatenate([grads[n].ravel() for n, _ in p.SHAPES])
 
 
+@counted_request()
 def train_step(p, x0, m, rng, s, lr=1e-3, optimizer=None):
     """One training step: sample (t, eps), take a gradient step, return
-    the pre-update loss."""
+    the pre-update loss.  It counts as a request for the spare-core gate
+    (``spare.counted_request``)."""
     if m.dims != x0.dims:
         raise ValueError(f"layout dims {m.dims} != patch dims {x0.dims}")
     t = int(rng.integers(1, s.T + 1))

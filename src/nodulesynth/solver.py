@@ -35,16 +35,13 @@ t_lo > 0.7 * T) and one for the background blend (``per_step`` only).
 The step that ends at t = 0 draws nothing: the ancestral step adds no
 noise there, the hybrid window is closed, and the background is the
 reference itself.  :func:`noise_draws` is that count.  The draws run
-one step ahead on a worker thread while a core is idle for it (see
-:func:`counted_request`); otherwise each runs on the caller when the step
-needs it, with nothing submitted.  The values are the same either way.
+one step ahead on the spare-core worker while a core is idle for it
+(:mod:`nodulesynth.spare`, before the predictor's conv blocks);
+otherwise each runs on the caller when the step needs it, with nothing
+submitted.  The values are the same either way.
 """
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +51,7 @@ from .errors import SolverError
 from .forward import diffuse, q_sample  # noqa: F401
 from .predictor import HALO
 from .schedule import is_int
+from .spare import settle, submit
 from .volume import CropRegion, VoxelVolume, crop
 
 _METHOD_ORDER = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
@@ -396,50 +394,20 @@ def noise_draws(grid, cfg, s):
     return count
 
 
-# Long-lived, so solves reuse the same threads (and their malloc arenas);
-# at most half the cores' requests draw ahead (see counted_request).
-_CORES = os.cpu_count() or 1
-_DRAWS = ThreadPoolExecutor(max_workers=max(1, _CORES // 2),
-                            thread_name_prefix="nodulesynth-noise")
-_requests = 0  # threads inside a counted_request block
-_requests_lock = threading.Lock()
-
-
-@contextmanager
-def counted_request():
-    """Count the calling thread as running a synthesis request for the
-    block (also usable as a decorator).
-
-    A solve draws its noise ahead only while a core is idle for it:
-    while twice the number of running requests (one core for each
-    request, one for its draws) fits in ``os.cpu_count()``.  With every
-    core busy, as in a parallel batch, a worker thread would only add
-    thread switches, so each draw runs on the caller.
-    """
-    global _requests
-    with _requests_lock:
-        _requests += 1
-    try:
-        yield
-    finally:
-        with _requests_lock:
-            _requests -= 1
-
-
 class _RegionNoise:
     """Generator view that draws standard normals at full-patch shape
     and returns the part inside ``region``.
 
-    The ``count`` full draws run one ahead of the caller on a worker
-    thread when a core is idle (see :func:`counted_request`): the next
-    starts when the previous one is taken, so it overlaps the predictor
-    evaluations in between.  Without an idle core nothing is submitted
-    and each draw runs on the caller when it is needed, as does a
-    submitted draw the worker has not started (a busy worker, a forked
-    child).  Either way they are the same calls on the same generator in
-    the same order, so every value matches bit for bit.  At most one
-    draw is in flight, so the generator is never used by two threads at
-    once; :meth:`close` waits for it.
+    The ``count`` full draws run one ahead of the caller on the spare
+    worker when a core is idle (see :func:`nodulesynth.spare.submit`):
+    the next is submitted when the previous one is taken, so it overlaps
+    the predictor evaluations in between.  Without an idle core nothing
+    is submitted and each draw runs on the caller when it is needed, as
+    does a submitted draw the worker has not started (a busy worker, a
+    forked child).  Either way they are the same calls on the same
+    generator in the same order, so every value matches bit for bit.  At
+    most one draw is in flight, so the generator is never used by two
+    threads at once; :meth:`close` waits for it.
     """
 
     def __init__(self, rng, dims, region, count):
@@ -452,8 +420,8 @@ class _RegionNoise:
         self._draw_ahead()
 
     def _draw_ahead(self):
-        if self._left and 2 * max(_requests, 1) <= _CORES:
-            self._ahead = _DRAWS.submit(self._rng.standard_normal, self._dims)
+        if self._left:
+            self._ahead = submit(self._rng.standard_normal, self._dims)
 
     def standard_normal(self, size):
         if tuple(size) != self._size:
@@ -473,9 +441,8 @@ class _RegionNoise:
     def close(self):
         """Cancel the draw ahead if it has not started, else wait for it;
         no draw follows."""
-        if self._ahead is not None and not self._ahead.cancel():
-            wait([self._ahead])
-        self._ahead = None
+        ahead, self._ahead = self._ahead, None
+        settle(ahead)
         self._left = 0
 
 
@@ -492,7 +459,7 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     clean box: its dims are ``eval_region(m, cfg).size`` and it belongs
     at ``eval_region(m, cfg).origin`` of the patch (the whole patch in
     ``init_only`` mode or without nodule voxels).  Noise is drawn at
-    full-patch shape (one draw ahead on a worker thread while a core is
+    full-patch shape (one draw ahead on the spare worker while a core is
     idle) and cut to the box, so the box pasted into ``x_ref`` is
     bit-identical to sampling the whole patch.  When this returns or
     raises, no draw is in flight and ``rng`` has advanced by at most

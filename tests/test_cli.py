@@ -99,6 +99,18 @@ def test_sample_rejects_malformed_config(workdir, capsys, key, value,
     assert not (workdir / "bad").exists()
 
 
+@pytest.mark.parametrize("parallelism", ["0", "-1"])
+def test_sample_rejects_parallelism_below_one(workdir, capsys, parallelism):
+    assert main(["sample", "--config", str(workdir / "cfg.json"),
+                 "--reference", str(workdir / "data" / "ph0.vol.ldpv"),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--analytic", "--parallelism", parallelism, "--out-prefix",
+                 str(workdir / "bad" / "s")]) == 2
+    out = capsys.readouterr()
+    assert "--parallelism must be >= 1" in out.err and not out.out
+    assert not (workdir / "bad").exists()
+
+
 def test_sample_analytic_and_verifier(workdir):
     assert main(["sample", "--config", str(workdir / "cfg.json"),
                  "--reference", str(workdir / "data" / "ph0.vol.ldpv"),

@@ -215,7 +215,7 @@ def trained_conv(phantom, cosine1000):
     p = TinyConvPredictor(seed=0)
     train_step(p, crop(vol, region), crop(lay, region),
                np.random.default_rng(0), cosine1000)
-    assert p._workspace is not None
+    assert p._workspaces
     return p
 
 
@@ -228,8 +228,9 @@ def test_run_batch_bytes_equal_across_parallelism(phantom, cosine1000,
         else AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
 
     def workspace_bytes():
-        ws = getattr(predictor, "_workspace", None)
-        return ws and {k: b.tobytes() for k, b in ws.slots.items()}
+        ws = getattr(predictor, "_workspaces", None)
+        return ws and {(dims, k): b.tobytes() for dims, w in ws.items()
+                       for k, b in w.slots.items()}
 
     def run(parallelism):
         items = run_batch([_request(phantom, cosine1000, seed=s,

@@ -13,12 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from nodulesynth import solver
+from nodulesynth import spare
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import AnalyticGaussianPredictor
 from nodulesynth.schedule import make_schedule
-from nodulesynth.solver import (SolverConfig, _RegionNoise, counted_request,
-                                make_time_grid, noise_draws, pulmonary_solve)
+from nodulesynth.solver import (SolverConfig, _RegionNoise, make_time_grid,
+                                noise_draws, pulmonary_solve)
+from nodulesynth.spare import counted_request
 from nodulesynth.volume import NODULE, CropRegion, SemanticLayout, VoxelVolume
 
 T = 100
@@ -68,7 +69,7 @@ def _advanced(seed, draws):
 @pytest.fixture(params=[64, 1], ids=["idle_core", "no_idle_core"])
 def cores(request, monkeypatch):
     """Draw ahead on the worker (64 cores) or on the caller (1 core)."""
-    monkeypatch.setattr(solver, "_CORES", request.param)
+    monkeypatch.setattr(spare, "_CORES", request.param)
     return request.param
 
 
@@ -158,7 +159,7 @@ class _ThreadRecorder:
 
 
 def test_counted_requests_decide_where_draws_run(monkeypatch):
-    monkeypatch.setattr(solver, "_CORES", 4)
+    monkeypatch.setattr(spare, "_CORES", 4)
     region = CropRegion((0, 0, 0), DIMS)
 
     def drawn_ahead():
@@ -178,4 +179,4 @@ def test_counted_requests_decide_where_draws_run(monkeypatch):
         assert drawn_ahead()  # two requests, one core each to spare
         with counted_request():
             assert not drawn_ahead()
-    assert solver._requests == 0
+    assert spare._requests == 0

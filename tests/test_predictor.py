@@ -1,4 +1,8 @@
+import sys
+import threading
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from nodulesynth import spare
 from nodulesynth.errors import FormatError
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (HALO, Adam, AnalyticGaussianPredictor,
@@ -403,17 +408,163 @@ def test_loss_and_grads_results_never_alias_the_workspace(cosine1000):
 
 
 def test_loss_and_grads_across_shapes_matches_fresh_predictors(cosine1000):
-    # A new shape replaces the workspace; coming back to the first shape
+    # A new shape adds a workspace; coming back to the first shape
     # gives the same bits as a predictor that never saw the other one.
     p = TinyConvPredictor(seed=4)
     for k, dims in enumerate([(9, 9, 9), (12, 12, 12), (9, 9, 9)]):
         x0, m, eps = _training_pair(dims, k)
         loss, grads = p.loss_and_grads(x0, m, 200 + k, eps, cosine1000)
-        assert p._workspace.dims == dims
+        assert dims in p._workspaces
         ref_loss, ref = TinyConvPredictor(seed=4).loss_and_grads(
             x0, m, 200 + k, eps, cosine1000)
         assert loss == ref_loss
         assert _grad_bytes(grads) == _grad_bytes(ref)
+
+
+def test_alternating_shapes_reuse_their_workspaces(cosine1000):
+    # Each shape keeps its own buffers: going back and forth between two
+    # shapes allocates nothing new, and the grads match fresh instances.
+    p = TinyConvPredictor(seed=4)
+    first = {}
+    for k, dims in enumerate([(12, 12, 12), (10, 11, 12)] * 3):
+        x0, m, eps = _training_pair(dims, k)
+        loss, grads = p.loss_and_grads(x0, m, 100 + k, eps, cosine1000)
+        slots = p._workspaces[dims].slots
+        kept = first.setdefault(dims, dict(slots))
+        assert slots.keys() == kept.keys()
+        assert all(slots[name] is kept[name] for name in kept)
+        ref_loss, ref = TinyConvPredictor(seed=4).loss_and_grads(
+            x0, m, 100 + k, eps, cosine1000)
+        assert loss == ref_loss
+        assert _grad_bytes(grads) == _grad_bytes(ref)
+    assert set(p._workspaces) == {(12, 12, 12), (10, 11, 12)}
+
+
+def _shared_and_unshared(monkeypatch, compute):
+    """``compute()`` with the spare worker forced on, then forced off."""
+    runs = []
+    for cores in (64, 1):
+        monkeypatch.setattr(spare, "_CORES", cores)
+        runs.append(compute())
+    return runs
+
+
+@pytest.mark.parametrize("dims", [(24, 24, 24), (33, 33, 33), (33, 24, 29)])
+@pytest.mark.parametrize("cut", [((1, 1),) * 3, ((1, 0), (0, 1), (1, 1))],
+                         ids=["interior", "mixed"])
+def test_shared_blocks_keep_inference_bytes(monkeypatch, dims, cut):
+    rng = np.random.default_rng(sum(dims))
+    labels = rng.integers(0, 3, dims).astype(np.uint8)
+    c = replace(SemanticLayout(labels), cut=cut)
+    x = VoxelVolume(rng.standard_normal(dims))
+    p = TinyConvPredictor(seed=6)
+    on, off = _shared_and_unshared(
+        monkeypatch, lambda: p.predict(x, 700, c).data.tobytes())
+    assert on == off
+
+
+def test_shared_blocks_keep_training_bytes(monkeypatch, cosine1000):
+    x0, m, eps = _training_pair((32, 32, 32), 7)
+
+    def step():
+        loss, grads = TinyConvPredictor(seed=6).loss_and_grads(
+            x0, m, 400, eps, cosine1000)
+        return loss, _grad_bytes(grads)
+
+    on, off = _shared_and_unshared(monkeypatch, step)
+    assert on == off
+
+
+def _slow_product(fail_on=None, after=0):
+    """An einsum product that records its threads, sleeps so that both
+    threads take blocks, and raises on the ``fail_on`` thread once that
+    thread has made ``after`` products."""
+    caller = threading.get_ident()
+    calls = []
+
+    def product(a, b):
+        worker = threading.get_ident() != caller
+        calls.append(worker)
+        side = "worker" if worker else "caller"
+        if fail_on == side and calls.count(worker) > after:
+            raise RuntimeError(f"planted failure on the {fail_on}")
+        time.sleep(0.001)
+        return _einsum_product(a, b)
+
+    return product, calls
+
+
+def _multi_block_layer(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 34, 34, 34))  # 5 blocks
+    return _flat_layout(x, ((1, 1),) * 3), rng.standard_normal((4, 2, 3, 3, 3))
+
+
+def test_shared_blocks_run_on_both_threads(monkeypatch):
+    layout, w = _multi_block_layer(8)
+    monkeypatch.setattr(spare, "_CORES", 64)
+    product, calls = _slow_product()
+    shared = _conv3d(layout, w, product=product)
+    assert any(calls) and not all(calls)
+    monkeypatch.setattr(spare, "_CORES", 1)
+    alone = _conv3d(layout, w, product=_einsum_product)
+    assert shared.tobytes() == alone.tobytes()
+
+
+# The worker fails in its first block; the caller in its second, while
+# the worker runs the block between.
+@pytest.mark.parametrize("fail_on,after", [("worker", 0), ("caller", 27)])
+def test_raising_block_reraises_on_the_caller(monkeypatch, fail_on, after):
+    layout, w = _multi_block_layer(9)
+    monkeypatch.setattr(spare, "_CORES", 64)
+    product, calls = _slow_product(fail_on, after)
+    with pytest.raises(RuntimeError, match=f"failure on the {fail_on}"):
+        _conv3d(layout, w, product=product)
+    # Both threads have left the layer: no product runs after it raised.
+    done = len(calls)
+    time.sleep(0.1)
+    assert len(calls) == done
+    assert any(calls) and not all(calls)
+
+
+def test_shared_blocks_under_thread_stress(monkeypatch):
+    # More layers at once than cores, all sharing the one worker, with
+    # thread switches forced often: a block run twice or skipped would
+    # change the bytes.
+    layout, w = _multi_block_layer(10)
+    alone = _conv3d(layout, w, product=_einsum_product).tobytes()
+    monkeypatch.setattr(spare, "_CORES", 64)
+    results = []
+
+    def layers():
+        for _ in range(3):
+            results.append(_conv3d(layout, w, product=_einsum_product)
+                           .tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=layers) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [alone] * 18
+
+
+def test_train_step_counts_as_a_request(cosine100, rng, small_layout,
+                                        monkeypatch):
+    p = TinyConvPredictor(seed=5)
+    seen, inner = [], p.loss_and_grads
+    monkeypatch.setattr(p, "loss_and_grads",
+                        lambda *args: seen.append(spare._requests)
+                        or inner(*args))
+    x0 = VoxelVolume(rng.standard_normal((8, 8, 8)))
+    train_step(p, x0, small_layout, np.random.default_rng(0), cosine100)
+    assert seen == [1] and spare._requests == 0
 
 
 def test_adam_single_step_oracle():

@@ -66,7 +66,9 @@ def steps(seed):
         train_step(p, x0, m, rng, state.schedule, optimizer=opt)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    workspace = getattr(p, "_workspace", None)
+    # One workspace per shape; trees before that kept one, as _workspace.
+    spaces = getattr(p, "_workspaces", None) or {
+        None: getattr(p, "_workspace", None)}
     return {"steps": STEPS,
             "minflt_per_step": {"median": statistics.median(flts),
                                 "mean": round(statistics.mean(flts), 1),
@@ -74,8 +76,9 @@ def steps(seed):
             "step_s_p50": round(statistics.median(secs), 5),
             "first_step_traced_peak_mb": round(peaks[0] / 1e6, 2),
             "second_step_traced_peak_mb": round(peaks[1] / 1e6, 2),
-            "workspace_mb": workspace and round(sum(
-                b.nbytes for b in workspace.slots.values()) / 1e6, 2),
+            "workspace_mb": None if None in spaces.values() else round(sum(
+                b.nbytes for ws in spaces.values()
+                for b in ws.slots.values()) / 1e6, 2),
             "digest": h.hexdigest()}
 
 
