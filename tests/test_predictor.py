@@ -408,36 +408,24 @@ def test_loss_and_grads_results_never_alias_the_workspace(cosine1000):
 
 
 def test_loss_and_grads_across_shapes_matches_fresh_predictors(cosine1000):
-    # A new shape adds a workspace; coming back to the first shape
-    # gives the same bits as a predictor that never saw the other one.
-    p = TinyConvPredictor(seed=4)
-    for k, dims in enumerate([(9, 9, 9), (12, 12, 12), (9, 9, 9)]):
-        x0, m, eps = _training_pair(dims, k)
-        loss, grads = p.loss_and_grads(x0, m, 200 + k, eps, cosine1000)
-        assert dims in p._workspaces
-        ref_loss, ref = TinyConvPredictor(seed=4).loss_and_grads(
-            x0, m, 200 + k, eps, cosine1000)
-        assert loss == ref_loss
-        assert _grad_bytes(grads) == _grad_bytes(ref)
-
-
-def test_alternating_shapes_reuse_their_workspaces(cosine1000):
-    # Each shape keeps its own buffers: going back and forth between two
-    # shapes allocates nothing new, and the grads match fresh instances.
+    # Each shape keeps its own workspace: going back and forth between
+    # two shapes reuses the same buffers, and gives the same bits as a
+    # predictor that never saw the other shape.
     p = TinyConvPredictor(seed=4)
     first = {}
-    for k, dims in enumerate([(12, 12, 12), (10, 11, 12)] * 3):
+    for k, dims in enumerate([(9, 9, 9), (12, 12, 12), (9, 9, 9),
+                              (12, 12, 12)]):
         x0, m, eps = _training_pair(dims, k)
-        loss, grads = p.loss_and_grads(x0, m, 100 + k, eps, cosine1000)
+        loss, grads = p.loss_and_grads(x0, m, 200 + k, eps, cosine1000)
         slots = p._workspaces[dims].slots
         kept = first.setdefault(dims, dict(slots))
         assert slots.keys() == kept.keys()
         assert all(slots[name] is kept[name] for name in kept)
         ref_loss, ref = TinyConvPredictor(seed=4).loss_and_grads(
-            x0, m, 100 + k, eps, cosine1000)
+            x0, m, 200 + k, eps, cosine1000)
         assert loss == ref_loss
         assert _grad_bytes(grads) == _grad_bytes(ref)
-    assert set(p._workspaces) == {(12, 12, 12), (10, 11, 12)}
+    assert set(p._workspaces) == {(9, 9, 9), (12, 12, 12)}
 
 
 def _shared_and_unshared(monkeypatch, compute):
