@@ -1,22 +1,22 @@
-"""Efficiency benchmark harness.
+"""Efficiency benchmark harness on the real pipeline.
 
-Reports four currencies per sampler configuration: NFE (predictor
-evaluations, exact), wall time (monotonic clock, mean/std over trials),
-an analytic FLOPs estimate for fully convolutional predictors, and a
-peak heap-allocation proxy (tracemalloc high-water mark; stands in for
-accelerator memory since this artifact is accelerator-agnostic).
-Timed trials run strictly sequentially; the harness never runs trials
-concurrently.
+A row times sequential :func:`~nodulesynth.eaas.run_eaas` requests and
+reads NFE and the conv FLOPs actually evaluated from their provenance,
+so its predictor must count FLOPs (the tiny conv net).  Peak heap
+allocation, the tracemalloc high-water mark, comes from one untimed
+request: no timed trial runs under tracing.
 """
 
 import csv
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .eaas import run_eaas
 from .errors import NoduleSynthError
+from .predictor import TinyConvPredictor
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,9 @@ class ConvLayerSpec:
 
 def tiny_conv_arch():
     """Layer descriptor of :class:`~nodulesynth.TinyConvPredictor`."""
-    return (ConvLayerSpec(2, 8), ConvLayerSpec(8, 8), ConvLayerSpec(8, 1))
+    return tuple(ConvLayerSpec(shape[1], shape[0])
+                 for name, shape in TinyConvPredictor.SHAPES
+                 if name.startswith("w"))
 
 
 def estimate_flops(arch, dims):
@@ -43,90 +45,80 @@ def estimate_flops(arch, dims):
 
 
 @dataclass(frozen=True)
-class BenchConfig:
-    """A runnable sampler configuration.
-
-    ``run`` executes one full sampling chain for a trial seed and
-    returns the NFE it consumed.  ``dims`` are the volume dims the
-    FLOPs estimate is accounted at; ``timed_dims`` (when different)
-    records the dims the wall-clock run actually used, for proxy rows.
-    """
-
-    name: str
-    dims: tuple
-    run: callable
-    arch: tuple = field(default_factory=tiny_conv_arch)
-    timed_dims: tuple = None
-
-
-@dataclass(frozen=True)
 class BenchReport:
     config: str
-    dims: tuple
     nfe: int
+    eval_flops: float  # the mean over the trials' provenance
     wall_mean_s: float
     wall_std_s: float
-    est_flops_per_eval: int
-    est_flops_chain: int
     peak_alloc_bytes: int
     trials: int
-    timed_dims: tuple
 
 
-def run_bench(cfg, n_trials=10, warmup=1):
-    """Warm up, then time ``n_trials`` sequential solves.
-
-    The report is emitted if at least one trial succeeds; a trial that
-    raises a library error (``NoduleSynthError`` or ``ValueError``) is
-    recorded and skipped.  Any other exception is a bug and propagates.
-    """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    for i in range(warmup):
-        cfg.run(i)
-
-    times, nfes, peaks, failures = [], [], [], []
+def _traced_peak(request):
+    """Peak bytes one ``run_eaas(request)`` allocates above the live ones."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        for i in range(n_trials):
-            tracemalloc.reset_peak()
-            t0 = time.perf_counter()
-            try:
-                nfe = cfg.run(warmup + i)
-            except (NoduleSynthError, ValueError) as err:
-                failures.append(f"trial {i}: {type(err).__name__}: {err}")
-                continue
-            times.append(time.perf_counter() - t0)
-            nfes.append(nfe)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run_eaas(request)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
 
+
+def run_bench(name, request, n_trials=10, warmup=1):
+    """Time ``n_trials`` sequential requests after ``warmup`` untimed
+    ones; request ``k`` runs at seed ``request.seed + k``.
+
+    The last warm-up is traced for the peak allocation; without one, the
+    first successful trial's seed runs again, traced, after the timed
+    ones.  A trial that raises a library error (``NoduleSynthError`` or
+    ``ValueError``) is skipped, and the report needs one success.  Any
+    other exception is a bug and propagates.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+
+    def seeded(k):
+        return replace(request, seed=request.seed + k)
+
+    for k in range(warmup - 1):
+        run_eaas(seeded(k))
+    peak = _traced_peak(seeded(warmup - 1)) if warmup else None
+
+    times, provenances, failures = [], [], []
+    for i in range(n_trials):
+        t0 = time.perf_counter()
+        try:
+            result = run_eaas(seeded(warmup + i))
+        except (NoduleSynthError, ValueError) as err:
+            failures.append(f"trial {i}: {type(err).__name__}: {err}")
+            continue
+        times.append(time.perf_counter() - t0)
+        provenances.append(result.provenance)
     if not times:
         raise NoduleSynthError(
-            f"all {n_trials} trials of {cfg.name!r} failed: {failures}")
-    nfe = nfes[0]
-    per_eval = estimate_flops(cfg.arch, cfg.dims)
+            f"all {n_trials} trials of {name!r} failed: {failures}")
+    if peak is None:
+        peak = _traced_peak(replace(request, seed=provenances[0]["seed"]))
     return BenchReport(
-        config=cfg.name, dims=tuple(cfg.dims), nfe=int(nfe),
+        config=name, nfe=int(provenances[0]["nfe"]),
+        eval_flops=float(np.mean([p["eval_flops"] for p in provenances])),
         wall_mean_s=float(np.mean(times)),
-        wall_std_s=float(np.std(times, ddof=1)) if len(times) >= 3 else 0.0,
-        est_flops_per_eval=per_eval,
-        est_flops_chain=per_eval * int(nfe),
-        peak_alloc_bytes=int(max(peaks)),
-        trials=len(times), timed_dims=tuple(cfg.timed_dims or cfg.dims))
+        wall_std_s=float(np.std(times, ddof=1)) if len(times) > 1 else 0.0,
+        peak_alloc_bytes=int(peak), trials=len(times))
 
 
 def compare(reports, baseline=0):
     """Ratio table of every report against a designated baseline row.
 
-    Ratios are baseline / row, so larger means the row is cheaper.  The
-    combined cost ratio is the chain-FLOPs ratio (voxel ratio x NFE
-    ratio for a shared architecture).  Rows measured at different dims
-    are allowed (that is the point) and noted.
+    Ratios are baseline / row, so larger means the row is cheaper.
     """
     if len(reports) < 2:
         raise ValueError("need at least 2 reports to compare")
@@ -134,42 +126,32 @@ def compare(reports, baseline=0):
     return [{
         "config": rep.config,
         "nfe_ratio": base.nfe / rep.nfe,
-        "flops_ratio": base.est_flops_per_eval / rep.est_flops_per_eval,
-        "cost_ratio": base.est_flops_chain / rep.est_flops_chain,
+        "flops_ratio": base.eval_flops / rep.eval_flops,
         "speed_ratio": base.wall_mean_s / rep.wall_mean_s,
         "alloc_ratio": base.peak_alloc_bytes / rep.peak_alloc_bytes,
-        "dims_differ": tuple(rep.dims) != tuple(base.dims),
     } for rep in reports]
+
+
+# (header, format) per column, shared by the CSV and the table.
+_COLUMNS = (("config", "{}"), ("nfe", "{}"), ("eval_flops", "{:.4e}"),
+            ("wall_mean_s", "{:.6f}"), ("wall_std_s", "{:.6f}"),
+            ("peak_alloc_bytes", "{}"), ("trials", "{}"))
+
+
+def _cells(report):
+    return [fmt.format(getattr(report, name)) for name, fmt in _COLUMNS]
 
 
 def write_report_csv(reports, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["config", "dims", "nfe", "est_flops_per_eval",
-                         "est_flops_chain", "wall_mean_s", "wall_std_s",
-                         "peak_alloc_bytes", "trials", "timed_dims"])
-        for r in reports:
-            writer.writerow([
-                r.config, "x".join(str(d) for d in r.dims), r.nfe,
-                r.est_flops_per_eval, r.est_flops_chain,
-                f"{r.wall_mean_s:.6f}", f"{r.wall_std_s:.6f}",
-                r.peak_alloc_bytes, r.trials,
-                "x".join(str(d) for d in r.timed_dims)])
+        writer.writerow(name for name, _ in _COLUMNS)
+        writer.writerows(_cells(r) for r in reports)
 
 
 def format_table(reports):
     """Human-readable aligned table."""
-    headers = ["config", "dims", "nfe", "flops/eval", "flops/chain",
-               "wall mean (s)", "wall std", "peak alloc (B)", "trials",
-               "timed dims"]
-    rows = [[r.config, "x".join(str(d) for d in r.dims), str(r.nfe),
-             f"{r.est_flops_per_eval:.3e}", f"{r.est_flops_chain:.3e}",
-             f"{r.wall_mean_s:.4f}", f"{r.wall_std_s:.4f}",
-             str(r.peak_alloc_bytes), str(r.trials),
-             "x".join(str(d) for d in r.timed_dims)] for r in reports]
-    widths = [max(len(h), *(len(row[i]) for row in rows))
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    rows = [[name for name, _ in _COLUMNS]] + [_cells(r) for r in reports]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(_COLUMNS))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths))
+                     for row in rows)

@@ -12,12 +12,11 @@ Exit codes: 0 success, 2 validation error, 3 runtime/numeric error,
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import bench as bench_mod
 from . import oracle
@@ -26,10 +25,10 @@ from .errors import FormatError, NoduleSynthError, ValidationError
 from .layout import LayoutConfig
 from .predictor import (AnalyticGaussianPredictor, TinyConvPredictor, train,
                         write_loss_curve)
-from .schedule import make_schedule
-from .solver import SolverConfig, ancestral_solve, dpm_solve, make_time_grid
-from .volume import (VoxelVolume, make_phantom, read_layout, read_volume,
-                     write_layout, write_volume)
+from .schedule import is_int, make_schedule
+from .solver import SolverConfig
+from .volume import (make_phantom, read_layout, read_volume, write_layout,
+                     write_volume)
 
 log = logging.getLogger("nodulesynth")
 
@@ -134,18 +133,26 @@ def cmd_train(args):
     doc = load_config(args.config)
     s = _build_schedule(doc)
     train_sec = doc.get("train", {})
-    epochs = int(train_sec.get("epochs", 10))
-    lr = float(train_sec.get("lr", 1e-3))
-    if epochs < 0 or lr <= 0:
-        raise ValidationError(f"train: epochs={epochs}, lr={lr}")
+    epochs = train_sec.get("epochs", 10)
+    lr = train_sec.get("lr", 1e-3)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    if not is_int(epochs) or epochs < 0:
+        raise ValidationError(
+            f"train: epochs must be an integer >= 0, got {epochs!r}")
+    if (isinstance(lr, bool) or not isinstance(lr, (int, float))
+            or not 0 < lr < math.inf):
+        raise ValidationError(
+            f"train: lr must be a positive real number, got {lr!r}")
+    if not is_int(seed) or seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed!r}")
 
     pairs = _load_pairs(args.data_dir)
     if not pairs:
         raise ValidationError(
             f"no *.vol.ldpv / *.lay.ldpv pairs found in {args.data_dir}")
     p = TinyConvPredictor(seed=seed)
-    losses = train(p, pairs, s, epochs=epochs, lr=lr, seed=seed)
+    losses = train(p, pairs, s, epochs=epochs, lr=float(lr), seed=seed)
     Path(args.out_weights).parent.mkdir(parents=True, exist_ok=True)
     p.save(args.out_weights)
     write_loss_curve(losses, f"{args.out_weights}.loss.csv")
@@ -206,61 +213,36 @@ def cmd_sample(args):
 
 # -- bench suites ------------------------------------------------------------
 
-
-def _chain(s, dims, steps, ancestral=False):
-    """A bench run: the ancestral or the dpm2 sampler at ``steps`` from
-    pure noise at ``dims``, with the analytic N(0, 1) predictor;
-    returns the NFE it consumed."""
-    grid = make_time_grid(s, SolverConfig(steps=steps))
-
-    def run(trial_seed):
-        rng = np.random.default_rng(trial_seed)
-        p = AnalyticGaussianPredictor(0.0, 1.0, s)
-        x = VoxelVolume(rng.standard_normal(dims))
-        if ancestral:
-            ancestral_solve(x, grid, p, None, s, rng)
-        else:
-            dpm_solve(x, grid, 2, p, None, s)
-        return p.eval_count
-
-    return run
+# Per suite: the phantom edge, the patch edge, and rows of (name, solver
+# config); the first row is the baseline.  ancestral-1000-full evaluates
+# the whole patch at every step, the stand-in for Lung-DDPM.
+_SUITES = {
+    "table2-desk": (48, 24, (
+        ("ancestral-1000-full", SolverConfig(
+            method="ancestral", steps=1000, blend_mode="init_only")),
+        ("dpm2-50-region", SolverConfig(steps=50)),
+        ("dpm2-10-region", SolverConfig(steps=10)),
+    )),
+    "smoke": (24, 16, (
+        ("dpm2-10-full", SolverConfig(steps=10, blend_mode="init_only")),
+        ("dpm2-10-region", SolverConfig(steps=10)),
+    )),
+}
 
 
-def _table2_desk_suite(s):
-    """Desk-scale analog of the published efficiency table.
-
-    The 128^3 ancestral row is a proxy: its FLOPs are accounted at
-    128^3 but its wall clock is measured at 32^3 (a full 1000-step
-    chain at 128^3 is not a desk-scale timing target).
-    """
-    return [
-        bench_mod.BenchConfig(
-            name="ancestral-1000-128^3-proxy(timed@32^3)", dims=(128,) * 3,
-            timed_dims=(32,) * 3,
-            run=_chain(s, (32,) * 3, s.T, ancestral=True)),
-        bench_mod.BenchConfig(
-            name="ancestral-1000-64^3", dims=(64,) * 3,
-            run=_chain(s, (64,) * 3, s.T, ancestral=True)),
-        bench_mod.BenchConfig(
-            name="dpm2-50-64^3", dims=(64,) * 3,
-            run=_chain(s, (64,) * 3, 50)),
-        bench_mod.BenchConfig(
-            name="dpm2-10-64^3", dims=(64,) * 3,
-            run=_chain(s, (64,) * 3, 10)),
-    ]
-
-
-def _smoke_suite(s):
-    """Tiny fast suite for CI-style runs."""
-    return [
-        bench_mod.BenchConfig(name="ancestral-1000-16^3", dims=(16,) * 3,
-                              run=_chain(s, (16,) * 3, s.T, ancestral=True)),
-        bench_mod.BenchConfig(name="dpm2-50-16^3", dims=(16,) * 3,
-                              run=_chain(s, (16,) * 3, 50)),
-    ]
-
-
-_SUITES = {"table2-desk": _table2_desk_suite, "smoke": _smoke_suite}
+def bench_suite(suite, n_trials, warmup):
+    """Reports of every row of ``suite``: ``run_eaas`` on one phantom
+    with one tiny conv net, every row on the same seeds, so each row
+    places the same crops and nodules and only the solver differs."""
+    edge, patch, rows = _SUITES[suite]
+    reference, lung_layout = make_phantom(0, (edge,) * 3)
+    request = EaasRequest(
+        reference=reference, lung_layout=lung_layout,
+        predictor=TinyConvPredictor(seed=0),
+        schedule=make_schedule("cosine", 1000), patch_size=(patch,) * 3)
+    return [bench_mod.run_bench(name, replace(request, solver=cfg),
+                                n_trials=n_trials, warmup=warmup)
+            for name, cfg in rows]
 
 
 def cmd_bench(args):
@@ -269,25 +251,33 @@ def cmd_bench(args):
             f"unknown suite {args.suite!r}; available: {sorted(_SUITES)}")
     if args.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {args.trials}")
-    s = make_schedule("cosine", 1000)
-    configs = _SUITES[args.suite](s)
-    reports = [bench_mod.run_bench(cfg, n_trials=args.trials, warmup=args.warmup)
-               for cfg in configs]
+    if args.warmup < 0:
+        raise ValidationError(f"--warmup must be >= 0, got {args.warmup}")
+    reports = bench_suite(args.suite, args.trials, args.warmup)
     if args.out_csv:
         bench_mod.write_report_csv(reports, args.out_csv)
     print(bench_mod.format_table(reports))
     rows = bench_mod.compare(reports, baseline=0)
     print()
-    print("ratios vs baseline "
-          f"({reports[0].config}): " + ", ".join(
-              f"{row['config']}: cost {row['cost_ratio']:.1f}x, "
-              f"nfe {row['nfe_ratio']:.1f}x" for row in rows[1:]))
+    print(f"ratios vs baseline {reports[0].config}:")
+    for row in rows[1:]:
+        print(f"  {row['config']}: flops {row['flops_ratio']:.1f}x, "
+              f"nfe {row['nfe_ratio']:.1f}x, speed {row['speed_ratio']:.1f}x, "
+              f"alloc {row['alloc_ratio']:.1f}x")
     return 0
 
 
+def _int_list(flag, text):
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError as err:
+        raise ValidationError(
+            f"{flag} must be comma-separated integers, got {text!r}") from err
+
+
 def cmd_oracle_check(args):
-    orders = tuple(int(v) for v in args.orders.split(","))
-    steps = tuple(int(v) for v in args.steps.split(","))
+    orders = _int_list("--orders", args.orders)
+    steps = _int_list("--steps", args.steps)
     if any(o not in (1, 2, 3) for o in orders):
         raise ValidationError(f"--orders must be from 1,2,3, got {args.orders}")
     if any(v < 2 for v in steps):

@@ -35,8 +35,8 @@ class NoisePredictor:
     """Interface: predict(x_t, t, c) -> predicted noise volume.
 
     ``eval_count`` increments by exactly one per predict call.  The
-    solvers do not read it (their NFE is ``solver.expected_nfe``); the
-    bench chains and tests read it as a count of calls.
+    solvers do not read it (their NFE is ``solver.expected_nfe``); tests
+    read it as a count of calls.
 
     Locality contract: the output at a voxel depends only on the input
     volume and condition within ``HALO`` voxels of it (Chebyshev

@@ -233,6 +233,16 @@ def test_bench_unknown_suite():
     assert main(["bench", "--suite", "nope"]) == 2
 
 
+@pytest.mark.parametrize("trials", ["1", "2"])
+def test_bench_rejects_negative_warmup(workdir, capsys, trials):
+    out_csv = workdir / "bench.csv"
+    assert main(["bench", "--suite", "smoke", "--trials", trials,
+                 "--warmup", "-1", "--out-csv", str(out_csv)]) == 2
+    out = capsys.readouterr()
+    assert "--warmup must be >= 0" in out.err and not out.out
+    assert not out_csv.exists()
+
+
 def test_oracle_check_order1_passes(workdir, capsys):
     out_csv = workdir / "conv.csv"
     assert main(["oracle-check", "--orders", "1",
@@ -244,6 +254,45 @@ def test_oracle_check_order1_passes(workdir, capsys):
 def test_oracle_check_validation():
     assert main(["oracle-check", "--orders", "7"]) == 2
     assert main(["oracle-check", "--steps", "1,2"]) == 2
+
+
+# Each case is rejected before any work, so nothing is written.
+@pytest.mark.parametrize("command,config,flags,message", [
+    ("train", {"seed": "x"}, [], _BAD_SEED),
+    ("train", {"seed": -1}, [], _BAD_SEED),
+    ("train", {"seed": True}, [], _BAD_SEED),
+    ("train", {}, ["--seed", "-1"], _BAD_SEED),
+    ("train", {"train": {"lr": "x"}}, [], "lr must be a positive real"),
+    ("train", {"train": {"lr": 0}}, [], "lr must be a positive real"),
+    ("train", {"train": {"lr": True}}, [], "lr must be a positive real"),
+    ("train", {"train": {"epochs": 1.7}}, [], "epochs must be an integer"),
+    ("train", {"train": {"epochs": True}}, [], "epochs must be an integer"),
+    ("train", {"train": {"epochs": -1}}, [], "epochs must be an integer"),
+    ("oracle-check", {}, ["--steps", "8,x"], "--steps must be comma"),
+    ("oracle-check", {}, ["--orders", "1,a"], "--orders must be comma"),
+], ids=["string_seed", "negative_seed", "bool_seed", "negative_seed_flag",
+        "string_lr", "zero_lr", "bool_lr", "fractional_epochs",
+        "bool_epochs", "negative_epochs", "string_steps", "string_orders"])
+def test_train_and_oracle_check_reject_malformed_input(
+        workdir, capsys, command, config, flags, message):
+    cfg = json.loads((workdir / "cfg.json").read_text())
+    for key, value in config.items():
+        if key == "train":
+            cfg["train"].update(value)
+        else:
+            cfg[key] = value
+    (workdir / "bad.json").write_text(json.dumps(cfg))
+    out_dir = workdir / "bad"
+    if command == "train":
+        argv = ["train", "--config", str(workdir / "bad.json"),
+                "--data-dir", str(workdir / "data"),
+                "--out-weights", str(out_dir / "w.ldpw")]
+    else:
+        argv = ["oracle-check", "--out-csv", str(out_dir / "conv.csv")]
+    assert main(argv + flags) == 2
+    out = capsys.readouterr()
+    assert message in out.err and not out.out
+    assert not out_dir.exists()
 
 
 def test_parser_rejects_missing_subcommand():
