@@ -98,9 +98,6 @@ class SemanticLayout:
     def nodule_mask(self):
         return self.labels == NODULE
 
-    def lung_mask(self):
-        return self.labels == LUNG
-
 
 @dataclass(frozen=True)
 class CropRegion:

@@ -7,7 +7,7 @@ import pytest
 from nodulesynth.cli import build_parser, load_config, main
 from nodulesynth.eaas import _verify_fusion_locality
 from nodulesynth.errors import NoduleSynthError, ValidationError
-from nodulesynth.volume import (CropRegion, VoxelVolume, read_layout,
+from nodulesynth.volume import (LUNG, CropRegion, VoxelVolume, read_layout,
                                 read_volume, write_volume)
 
 
@@ -30,7 +30,7 @@ def test_phantom_outputs(workdir):
     vol = read_volume(workdir / "data" / "ph0.vol.ldpv")
     lay = read_layout(workdir / "data" / "ph0.lay.ldpv")
     assert vol.dims == (24, 24, 24)
-    assert lay.lung_mask().sum() > 0
+    assert (lay.labels == LUNG).sum() > 0
 
 
 def test_phantom_bad_dims(tmp_path):

@@ -202,7 +202,7 @@ def test_make_phantom_deterministic():
     v2, l2 = make_phantom(42, (20, 20, 20))
     np.testing.assert_array_equal(v1.data, v2.data)
     np.testing.assert_array_equal(l1.labels, l2.labels)
-    assert l1.lung_mask().sum() > 0
+    assert (l1.labels == LUNG).sum() > 0
     assert not l1.nodule_mask().any()
     assert v1.data.min() >= -1.0 and v1.data.max() <= 1.0
 

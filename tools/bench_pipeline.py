@@ -18,7 +18,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from benchkit import machine
+from bench_pairs import machine
 from nodulesynth.bench import compare
 from nodulesynth.cli import _SUITES, bench_suite
 
