@@ -2,19 +2,23 @@
 
 One request turns a nodule-free reference volume plus its lung layout
 into a full volume carrying one synthetic nodule and the matching
-label map: sample a nodule spec and a healthy crop, diffuse the cropped
-reference patch up to the start level, splice fresh noise under the
-nodule mask, run the mask-conditioned solver down to its clean evaluated
-region, and paste that region once into a copy of the reference at the
-exact crop coordinates.  Every result is checked for fusion locality
-before it is returned.  The emitted (volume, layout) pair is
-self-labeling by construction.
+label map: sample a healthy crop and a nodule spec placed in it, then
+work on the box of the patch that the solver evaluates
+(:func:`~nodulesynth.solver.eval_region`) only.  The initial state is
+built on that box: the reference cut to it is diffused up to the start
+level, and fresh noise is spliced in under the nodule mask.  The
+mask-conditioned solver then runs the box down to clean data, and the
+box is pasted once into a copy of the reference at its exact
+coordinates.  Every noise draw is still made at full-patch shape, into
+one reused buffer, so the bytes equal sampling the whole patch.  Every
+result is checked for fusion locality before it is returned.  The
+emitted (volume, layout) pair is self-labeling by construction.
 """
 
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +27,8 @@ from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
 from .schedule import is_int
-from .solver import SolverConfig, eval_region, expected_nfe, pulmonary_solve
+from .solver import (BoxNoise, SolverConfig, eval_region, expected_nfe,
+                     pulmonary_solve)
 from .spare import counted_request
 from .volume import (NODULE, CropRegion, SemanticLayout, VoxelVolume, crop,
                      paste)
@@ -114,7 +119,6 @@ def run_eaas(req):
 
     region = pick_healthy_crop(req.lung_layout, req.lung_layout,
                                req.patch_size, rng)
-    ref_patch = crop(req.reference, region)
     lung_patch = crop(req.lung_layout, region)
 
     m = None
@@ -122,7 +126,7 @@ def run_eaas(req):
     for _ in range(_PLACEMENT_RETRIES):
         spec = sample_nodule_spec(layout_cfg, rng)
         try:
-            m = place_nodule(spec, lung_patch, ref_patch.spacing, rng)
+            m = place_nodule(spec, lung_patch, req.reference.spacing, rng)
             break
         except PlacementError as err:
             last_err = err
@@ -131,18 +135,23 @@ def run_eaas(req):
             f"no placeable nodule spec after {_PLACEMENT_RETRIES} resamples: "
             f"{last_err}")
 
-    t_start = s.T if cfg.t_start is None else int(cfg.t_start)
-    eps = VoxelVolume(rng.standard_normal(ref_patch.dims), ref_patch.spacing)
-    carrier = invert_reference(ref_patch, t_start, eps, s)
-    noise = VoxelVolume(rng.standard_normal(ref_patch.dims), ref_patch.spacing)
-    x_init = masked_mix(carrier, noise, m)
-    del eps, carrier, noise  # full-patch arrays, freed before the solve
-
+    # Everything from here to the paste is cut to the evaluated box.
     evaluated = eval_region(m, cfg)
-    box = pulmonary_solve(x_init, ref_patch, m, req.predictor, cfg, rng, s)
+    placed = CropRegion(np.add(region.origin, evaluated.origin),
+                        evaluated.size)
+    m_box = replace(crop(m, evaluated), cut=evaluated.cut_faces(m.dims))
+    ref_box = crop(req.reference, placed)
+    noise = BoxNoise(rng, m.dims, evaluated)
+    t_start = s.T if cfg.t_start is None else int(cfg.t_start)
+    eps = VoxelVolume(noise.standard_normal(evaluated.size), ref_box.spacing)
+    carrier = invert_reference(ref_box, t_start, eps, s)
+    x_init = masked_mix(carrier, VoxelVolume(
+        noise.standard_normal(evaluated.size), ref_box.spacing), m_box)
+    box = pulmonary_solve(x_init, ref_box, m_box, req.predictor, cfg, noise,
+                          s)
+    del noise  # its patch buffer, freed before the output volume
 
-    full_volume = paste(req.reference, box, CropRegion(
-        np.add(region.origin, evaluated.origin), evaluated.size))
+    full_volume = paste(req.reference, box, placed)
     full_layout = paste(req.lung_layout, m, region)
     nfe = expected_nfe(cfg.method, cfg.steps)
     # Predictors that count their FLOPs (the tiny conv net) expose them.
@@ -151,11 +160,11 @@ def run_eaas(req):
         "seed": int(req.seed),
         "nfe": nfe,
         "eval_flops": None if flops is None else nfe * flops(
-            evaluated.size, evaluated.cut_faces(m.dims)),
+            evaluated.size, m_box.cut),
         "wall_time_s": time.perf_counter() - started,
         "crop_origin": list(region.origin),
         "crop_size": list(region.size),
-        "nodule_voxels": int((m.labels == NODULE).sum()),
+        "nodule_voxels": int(np.count_nonzero(m_box.nodule_mask())),
         "eval_origin": list(evaluated.origin),
         "eval_size": list(evaluated.size),
         "eval_voxels": int(np.prod(evaluated.size)),

@@ -158,18 +158,18 @@ def pick_healthy_crop(layout, existing_nodules, size, rng, max_tries=1000,
     for d, sz in zip(dims, size):
         if sz > d:
             raise ValueError(f"crop size {size} exceeds layout dims {dims}")
-    nodule = existing_nodules.nodule_mask() if existing_nodules is not None \
-        else np.zeros(dims, dtype=bool)
-    lung = layout.labels == LUNG
     n_vox = int(np.prod(size))
     for _ in range(max_tries):
         origin = tuple(int(rng.integers(0, d - sz + 1))
                        for d, sz in zip(dims, size))
         region = CropRegion(origin, size)
+        # Each candidate is checked on its own slice: no full-layout mask.
         sl = region.slices()
-        if nodule[sl].any():
+        if existing_nodules is not None and np.any(
+                existing_nodules.labels[sl] == NODULE):
             continue
-        if int(lung[sl].sum()) < min_lung_frac * n_vox:
+        if (np.count_nonzero(layout.labels[sl] == LUNG)
+                < min_lung_frac * n_vox):
             continue
         return region
     raise SearchExhaustedError(

@@ -38,7 +38,11 @@ reference itself.  :func:`noise_draws` is that count.  The draws run
 one step ahead on the spare-core worker while a core is idle for it
 (:mod:`nodulesynth.spare`, before the predictor's conv blocks);
 otherwise each runs on the caller when the step needs it, with nothing
-submitted.  The values are the same either way.
+submitted.  The values are the same either way.  A synthesis request
+(:func:`~nodulesynth.eaas.run_eaas`) makes 2 + :func:`noise_draws`
+full-patch draws in all: its own two for the initial state, then the
+solve's.  It routes every one through a :class:`BoxNoise` view, so they
+all land in one reused patch buffer, with at most one in flight.
 """
 
 import math
@@ -446,6 +450,31 @@ class _RegionNoise:
         self._left = 0
 
 
+class BoxNoise:
+    """Generator view for a solve on one box of a patch: each draw is a
+    full-patch ``rng.standard_normal`` into one reused buffer, of which
+    a copy of ``region`` is returned.
+
+    The values are those of ``rng.standard_normal(dims)`` cut to the
+    box, and ``rng`` advances the same, without a fresh patch-sized
+    array per draw.  Calls must not overlap; :class:`_RegionNoise` keeps
+    at most one in flight.
+    """
+
+    def __init__(self, rng, dims, region):
+        self._rng = rng
+        self._buf = np.empty(dims)
+        self._size = region.size
+        self._slices = region.slices()
+
+    def standard_normal(self, size):
+        if tuple(size) != self._size:
+            raise ValueError(
+                f"draw of shape {tuple(size)} != box size {self._size}")
+        self._rng.standard_normal(out=self._buf)
+        return self._buf[self._slices].copy()
+
+
 def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     """Mask-conditioned reverse sampling with background re-imposition.
 
@@ -464,6 +493,11 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     bit-identical to sampling the whole patch.  When this returns or
     raises, no draw is in flight and ``rng`` has advanced by at most
     :func:`noise_draws` full-patch draws (exactly that many on return).
+
+    The inputs may also be that box already: ``x_init``, ``x_ref`` and
+    ``m`` cut to it, ``m.cut`` set to its :meth:`CropRegion.cut_faces`
+    in the patch, and ``rng`` a :class:`BoxNoise` for it.  The box is
+    then its own evaluated region, and the result is the same bytes.
     """
     if x_ref.dims != x_init.x_t.dims or m.dims != x_ref.dims:
         raise ValueError(
@@ -475,7 +509,9 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
             f"cfg.t_start={t_start} != initial state t={x_init.t}")
     grid = make_time_grid(s, cfg)
     region = eval_region(m, cfg)
-    c = replace(crop(m, region), cut=region.cut_faces(m.dims))
+    # A box cut from a larger patch keeps its own cut faces as well.
+    c = replace(crop(m, region),
+                cut=np.logical_or(m.cut, region.cut_faces(m.dims)))
     x = crop(x_init.x_t, region)
 
     blend = None

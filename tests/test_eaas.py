@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodulesynth.bench import _traced_peak
 from nodulesynth.eaas import (BatchItem, EaasRequest, run_batch, run_eaas,
                               write_provenance)
 from nodulesynth.errors import NoduleSynthError
@@ -191,6 +192,49 @@ def test_provenance_eval_flops_hand_count(phantom, cosine1000, seed,
     # The analytic predictor does not count FLOPs.
     req = _request(phantom, cosine1000, seed=seed)
     assert run_eaas(req).provenance["eval_flops"] is None
+
+
+class _InputRecorder(TinyConvPredictor):
+    """The seed-0 tiny conv net, recording the dims and the cut faces of
+    every input."""
+
+    def __init__(self):
+        super().__init__(seed=0)
+        self.inputs_seen = set()
+
+    def _predict(self, x_t, t, c):
+        self.inputs_seen.add((x_t.dims, c.cut))
+        return super()._predict(x_t, t, c)
+
+
+@pytest.mark.parametrize("seed", [4, 2])
+def test_predictor_sees_the_evaluated_box_with_its_cut_faces(
+        phantom, cosine1000, seed):
+    # The box is cut out of the patch before the solve; the predictor
+    # still shrinks on the faces inside the patch and only there.
+    p = _InputRecorder()
+    prov = run_eaas(_request(phantom, cosine1000, seed=seed, predictor=p,
+                             solver=SolverConfig(steps=2),
+                             patch_size=(24, 24, 24),
+                             layout_cfg=LayoutConfig(max_diameter_mm=6.0))
+                    ).provenance
+    evaluated = CropRegion(prov["eval_origin"], prov["eval_size"])
+    assert prov["eval_voxels"] < 24 ** 3
+    assert p.inputs_seen == {(evaluated.size,
+                              evaluated.cut_faces((24, 24, 24)))}
+
+
+def test_request_traced_peak_is_bounded(cosine1000):
+    # One 64^3 tiny-conv request of a 96^3 phantom: its output volume
+    # alone is 7.1 MB, and a 64^3 float array 2.1 MB.  The initial
+    # state is built on the evaluated box and every draw fills one
+    # reused patch buffer, so the request stays under 11 MB.
+    vol, lay = make_phantom(0, (96, 96, 96))
+    req = EaasRequest(reference=vol, lung_layout=lay,
+                      predictor=TinyConvPredictor(seed=0),
+                      schedule=cosine1000, solver=SolverConfig(steps=10),
+                      patch_size=(64, 64, 64), seed=0)
+    assert _traced_peak(req) < 11e6
 
 
 def test_run_batch_matches_standalone(phantom, cosine1000):

@@ -264,6 +264,50 @@ def test_pick_healthy_crop_invariants(rng):
         assert (labels[sl] == LUNG).sum() >= 0.05 * 8 ** 3
 
 
+def _full_mask_crop(layout, existing_nodules, size, rng, max_tries):
+    """Reference crop search: nodule and lung masks of the whole layout,
+    built once and sliced per candidate.  Returns the region, or the
+    exhaustion message."""
+    nodule = (np.zeros(layout.dims, dtype=bool) if existing_nodules is None
+              else existing_nodules.labels == NODULE)
+    lung = layout.labels == LUNG
+    for _ in range(max_tries):
+        origin = tuple(int(rng.integers(0, d - sz + 1))
+                       for d, sz in zip(layout.dims, size))
+        sl = CropRegion(origin, size).slices()
+        if nodule[sl].any() or lung[sl].sum() < 0.05 * np.prod(size):
+            continue
+        return CropRegion(origin, size)
+    return (f"no nodule-free crop of size {size} found in {max_tries} "
+            f"attempts")
+
+
+# Sparse to dense lung and nodule labels, crops up to the whole layout,
+# with and without existing nodules, and budgets small enough to run out.
+@settings(max_examples=80, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 12)] * 3),
+       lung_p=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+       nodule_p=st.sampled_from([0.0, 0.005, 0.05]),
+       with_nodules=st.booleans(), data=st.data(),
+       max_tries=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_pick_healthy_crop_matches_full_mask_reference(
+        dims, lung_p, nodule_p, with_nodules, data, max_tries, seed):
+    u = np.random.default_rng(seed).random(dims)
+    labels = np.where(u < lung_p, LUNG, 0).astype(np.uint8)
+    labels[u < nodule_p] = NODULE
+    layout = SemanticLayout(labels)
+    size = tuple(data.draw(st.integers(1, d)) for d in dims)
+    existing = layout if with_nodules else None
+    got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+    try:
+        got = pick_healthy_crop(layout, existing, size, got_rng, max_tries)
+    except SearchExhaustedError as err:
+        got = str(err)
+    assert got == _full_mask_crop(layout, existing, size, want_rng,
+                                  max_tries)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_pick_healthy_crop_exhausted(rng):
     labels = np.full((8, 8, 8), NODULE, dtype=np.uint8)
     layout = SemanticLayout(labels)

@@ -4,7 +4,7 @@
 while a core is idle, else on demand.  These tests pin the plan
 (``noise_draws``), check that a solve consumes exactly that many
 full-patch draws from the caller's generator either way, and that no
-draw is left running when a solve raises.
+draw is left running when a solve or a whole request raises.
 """
 
 import threading
@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 
 from nodulesynth import spare
+from nodulesynth.eaas import EaasRequest, run_eaas
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import AnalyticGaussianPredictor
 from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import (SolverConfig, _RegionNoise, make_time_grid,
                                 noise_draws, pulmonary_solve)
 from nodulesynth.spare import counted_request
-from nodulesynth.volume import NODULE, CropRegion, SemanticLayout, VoxelVolume
+from nodulesynth.volume import (NODULE, CropRegion, SemanticLayout,
+                                VoxelVolume, make_phantom)
 
 T = 100
 DIMS = (10, 9, 8)
@@ -144,6 +146,73 @@ def test_raising_solve_leaves_no_draw_running(method, cores):
     time.sleep(0.15)
     assert rng.rng.bit_generator.state == state
     assert len(rng.shapes) <= noise_draws(make_time_grid(s, cfg), cfg, s)
+
+
+class _FailingThirdDraw:
+    """A generator whose third ``standard_normal`` call raises; every
+    call is slow and counted while it runs, and everything else is the
+    wrapped generator's."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+        self.running = 0
+        self._lock = threading.Lock()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, *args, **kwargs):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+            self.running += 1
+        try:
+            time.sleep(0.05)
+            if call == 3:
+                raise RuntimeError("planted draw failure")
+            return self.rng.standard_normal(*args, **kwargs)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+def test_failing_draw_in_request_leaves_no_draw_running(monkeypatch, cores):
+    # The request's own two draws build its initial state; the third is
+    # the solve's first, drawn ahead on the worker when a core is idle.
+    s = make_schedule("cosine", T)
+    vol, lay = make_phantom(11, (32, 32, 32))
+    made = []
+    real = np.random.default_rng
+
+    def default_rng(seed):
+        made.append(_FailingThirdDraw(real(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    req = EaasRequest(reference=vol, lung_layout=lay,
+                      predictor=AnalyticGaussianPredictor(0.0, 1.0, s),
+                      schedule=s, solver=SolverConfig(steps=6),
+                      patch_size=(16, 16, 16), seed=4)
+    raised = []
+
+    def request():
+        try:
+            run_eaas(req)
+        except RuntimeError as err:
+            raised.append(err)
+
+    thread = threading.Thread(target=request, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert [str(err) for err in raised] == ["planted draw failure"]
+    (rng,) = made
+    assert rng.calls == 3 and rng.running == 0
+    state = rng.rng.bit_generator.state
+    time.sleep(0.15)
+    assert rng.calls == 3 and rng.rng.bit_generator.state == state
+    assert spare._requests == 0
 
 
 class _ThreadRecorder:

@@ -3,9 +3,12 @@
 ``pulmonary_solve`` runs its sampler on the nodule bounding box plus
 the predictor halo and returns that box.  These tests paste the box
 into the reference, compare it against a full-patch sampler written
-here from the public drivers, and tie the halo constant to the
-receptive field of the tiny conv net.
+here from the public drivers, check that inputs already cut to the box
+give the same bytes, and tie the halo constant to the receptive field
+of the tiny conv net.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,24 +19,26 @@ from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (HALO, AnalyticGaussianPredictor,
                                    TinyConvPredictor, _einsum_product)
 from nodulesynth.schedule import make_schedule
-from nodulesynth.solver import (SolverConfig, ancestral_solve, dpm_solve,
-                                eval_region, expected_nfe, make_time_grid,
-                                pulmonary_solve)
-from nodulesynth.volume import NODULE, SemanticLayout, VoxelVolume, paste
+from nodulesynth.solver import (BoxNoise, SolverConfig, ancestral_solve,
+                                dpm_solve, eval_region, expected_nfe,
+                                make_time_grid, pulmonary_solve)
+from nodulesynth.volume import (NODULE, SemanticLayout, VoxelVolume, crop,
+                                paste)
 
 T = 100
 ORDERS = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
 
 
-class _ShapeRecorder(TinyConvPredictor):
-    """The seed-0 tiny conv net, recording the dims of every input."""
+class _InputRecorder(TinyConvPredictor):
+    """The seed-0 tiny conv net, recording the dims and the cut faces of
+    every input."""
 
     def __init__(self):
         super().__init__(seed=0)
-        self.dims_seen = []
+        self.inputs_seen = []
 
     def _predict(self, x_t, t, c):
-        self.dims_seen.append(x_t.dims)
+        self.inputs_seen.append((x_t.dims, c.cut))
         return super()._predict(x_t, t, c)
 
 
@@ -96,7 +101,7 @@ def test_region_solve_matches_full_patch_bitwise(case):
     x_init = q_sample(x_ref, cfg.t_start,
                       VoxelVolume(data_rng.standard_normal(m.dims)), s)
 
-    p = _ShapeRecorder()
+    p = _InputRecorder()
     rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s)
     want = _full_patch_solve(x_init, x_ref, m, TinyConvPredictor(seed=0),
@@ -107,9 +112,23 @@ def test_region_solve_matches_full_patch_bitwise(case):
     got = paste(x_ref, got, region)
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
     assert p.eval_count == expected_nfe(cfg.method, cfg.steps)
-    assert set(p.dims_seen) == {region.size}
+    seen = {(region.size, region.cut_faces(m.dims))}
+    assert set(p.inputs_seen) == seen
     # Both consumed the same full-patch draws.
     assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    # The same solve on inputs already cut to the box, drawing through
+    # a box view of the generator, as run_eaas calls it.
+    box_rng = np.random.default_rng(seed)
+    box_p = _InputRecorder()
+    got_box = pulmonary_solve(
+        replace(x_init, x_t=crop(x_init.x_t, region)), crop(x_ref, region),
+        replace(crop(m, region), cut=region.cut_faces(m.dims)), box_p, cfg,
+        BoxNoise(box_rng, m.dims, region), s)
+    assert np.array_equal(paste(x_ref, got_box, region).data.view(np.uint64),
+                          got.data.view(np.uint64))
+    assert set(box_p.inputs_seen) == seen
+    assert box_rng.bit_generator.state == rng.bit_generator.state
 
 
 class _CutRecorder(TinyConvPredictor):
