@@ -4,14 +4,14 @@ One request turns a nodule-free reference volume plus its lung layout
 into a full volume carrying one synthetic nodule and the matching
 label map: sample a healthy crop and a nodule spec placed in it, then
 work on the box of the patch that the solver evaluates
-(:func:`~nodulesynth.solver.eval_region`) only.  The initial state is
-built on that box: the reference cut to it is diffused up to the start
-level, and fresh noise is spliced in under the nodule mask.  The
-mask-conditioned solver then runs the box down to clean data, and the
-box is pasted once into a copy of the reference at its exact
-coordinates.  Every noise draw is still made at full-patch shape, into
-one reused buffer, so the bytes equal sampling the whole patch.  Every
-result is checked for fusion locality before it is returned.  The
+(:func:`~nodulesynth.solver.eval_region`) only; no other module cuts
+to it.  The initial state is built on that box: the reference cut to it
+is diffused up to the start level, and fresh noise is spliced in under
+the nodule mask.  The solver samples exactly that box down to clean
+data, and the box is pasted once into a copy of the reference at its
+exact coordinates.  Every noise draw is still made at full-patch shape,
+into one reused buffer, so the bytes equal sampling the whole patch.
+Every result is checked for fusion locality before it is returned.  The
 emitted (volume, layout) pair is self-labeling by construction.
 """
 

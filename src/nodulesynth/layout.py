@@ -8,6 +8,7 @@ rasterizes the ellipsoid at a random center inside lung-labeled
 regions.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,10 @@ class LayoutConfig:
     max_diameter_mm: float = None  # optional extra cap (e.g. patch size)
 
     def __post_init__(self):
-        if abs(sum(self.class_probs) - 1.0) > 1e-9:
-            raise ValueError(f"class_probs must sum to 1, got {self.class_probs}")
+        if (not all(0 <= p < math.inf for p in self.class_probs)
+                or abs(sum(self.class_probs) - 1.0) > 1e-9):
+            raise ValueError(f"class_probs must be finite, >= 0 and sum to "
+                             f"1, got {self.class_probs}")
         lo, hi = self.axis_ratio_range
         if not (0 < lo <= hi <= 1.0):
             raise ValueError(f"bad axis_ratio_range {self.axis_ratio_range}")
@@ -37,6 +40,10 @@ class LayoutConfig:
                 raise ValueError(
                     f"diameter bounds must be ordered, got {self.diameter_bounds_mm}")
             prev_hi = lo_d
+        if not (self.max_diameter_mm is None
+                or 0 < self.max_diameter_mm < math.inf):
+            raise ValueError(f"max_diameter_mm must be None or finite and "
+                             f"> 0, got {self.max_diameter_mm}")
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ values once after every update; ``VoxelVolume`` appears only where a
 driver hands the state to the predictor (one wrap per evaluation, plus
 the predictor's output) and where it returns.
 ``pulmonary_solve`` runs either driver with mask conditioning and
-per-step background re-imposition so only nodule voxels are synthesized;
-with re-imposition it evaluates only the nodule region of the patch and
-returns that region alone, for the caller to paste.
-Its blend works on plain region arrays as well: the background is
-:func:`~nodulesynth.forward.diffuse` of the cropped reference and the
-cut draw (the same bits as ``q_sample``), with the nodule voxels copied
-into it in place.
+per-step background re-imposition so only nodule voxels are synthesized.
+It samples exactly what it is given: whole-patch inputs give the whole
+patch; inputs cut to the :func:`eval_region` box, with a
+:class:`BoxNoise` view of the generator, give that box.  Its blend works
+on plain arrays too: the background is :func:`~nodulesynth.forward.diffuse`
+of the reference and the draw (the same bits as ``q_sample``), with the
+nodule voxels copied into it in place.
 
 NFE accounting (exact, per run): multistep integrator = steps + 1
 (one warm-up evaluation at the start node, then one evaluation at every
@@ -29,7 +29,7 @@ for dpm3 when steps > 1 (a single step goes straight to t=0 at first
 order); ancestral = steps.
 
 Noise accounting (exact, per ``pulmonary_solve``): every step that ends
-at t_lo > 0 makes one full-patch standard-normal draw for the ancestral
+at t_lo > 0 makes one standard-normal draw of its dims for the ancestral
 step (ancestral only), one for the hybrid perturbation (gamma > 0 and
 t_lo > 0.7 * T) and one for the background blend (``per_step`` only).
 The step that ends at t = 0 draws nothing: the ancestral step adds no
@@ -46,7 +46,7 @@ all land in one reused patch buffer, with at most one in flight.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .forward import diffuse, q_sample  # noqa: F401
 from .predictor import HALO
 from .schedule import is_int
 from .spare import settle, submit
-from .volume import CropRegion, VoxelVolume, crop
+from .volume import CropRegion, VoxelVolume
 
 _METHOD_ORDER = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
 # Fraction of the training horizon above which the stochastic term of
@@ -81,8 +81,9 @@ class SolverConfig:
         if self.t_start is not None and not is_int(self.t_start):
             raise ValueError(f"t_start must be an integer or None, got "
                              f"{self.t_start!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got "
+                             f"{self.gamma}")
         if self.blend_mode not in ("init_only", "per_step"):
             raise ValueError(f"unknown blend_mode {self.blend_mode!r}")
 
@@ -364,7 +365,7 @@ def expected_nfe(method, steps):
 
 
 def eval_region(m, cfg):
-    """The box of the patch that :func:`pulmonary_solve` evaluates.
+    """The box of the patch that a request hands :func:`pulmonary_solve`.
 
     In ``per_step`` mode every non-nodule voxel is re-imposed from the
     reference after each update, so the nodule voxels see the rest of
@@ -387,8 +388,8 @@ def eval_region(m, cfg):
 
 
 def noise_draws(grid, cfg, s):
-    """Full-patch standard-normal draws one :func:`pulmonary_solve` on
-    ``grid`` makes (see the module docstring)."""
+    """Standard-normal draws one :func:`pulmonary_solve` on ``grid``
+    makes (see the module docstring)."""
     count = 0
     for t_lo in grid.ts[1:].tolist():
         if t_lo > 0:
@@ -398,15 +399,15 @@ def noise_draws(grid, cfg, s):
     return count
 
 
-class _RegionNoise:
-    """Generator view that draws standard normals at full-patch shape
-    and returns the part inside ``region``.
+class _DrawAhead:
+    """Generator view that makes the ``count`` planned draws of shape
+    ``dims``.
 
-    The ``count`` full draws run one ahead of the caller on the spare
-    worker when a core is idle (see :func:`nodulesynth.spare.submit`):
-    the next is submitted when the previous one is taken, so it overlaps
-    the predictor evaluations in between.  Without an idle core nothing
-    is submitted and each draw runs on the caller when it is needed, as
+    The draws run one ahead of the caller on the spare worker when a
+    core is idle (see :func:`nodulesynth.spare.submit`): the next is
+    submitted when the previous one is taken, so it overlaps the
+    predictor evaluations in between.  Without an idle core nothing is
+    submitted and each draw runs on the caller when it is needed, as
     does a submitted draw the worker has not started (a busy worker, a
     forked child).  Either way they are the same calls on the same
     generator in the same order, so every value matches bit for bit.  At
@@ -414,11 +415,9 @@ class _RegionNoise:
     threads at once; :meth:`close` waits for it.
     """
 
-    def __init__(self, rng, dims, region, count):
+    def __init__(self, rng, dims, count):
         self._rng = rng
         self._dims = dims
-        self._size = region.size
-        self._slices = region.slices()
         self._left = count  # draws not yet taken, the one ahead included
         self._ahead = None
         self._draw_ahead()
@@ -428,9 +427,9 @@ class _RegionNoise:
             self._ahead = submit(self._rng.standard_normal, self._dims)
 
     def standard_normal(self, size):
-        if tuple(size) != self._size:
+        if tuple(size) != self._dims:
             raise ValueError(
-                f"draw of shape {tuple(size)} != region size {self._size}")
+                f"draw of shape {tuple(size)} != planned {self._dims}")
         if not self._left:
             raise RuntimeError("noise draw beyond the solver's noise plan")
         self._left -= 1
@@ -440,7 +439,7 @@ class _RegionNoise:
         else:
             draw = ahead.result()
         self._draw_ahead()
-        return draw[self._slices]
+        return draw
 
     def close(self):
         """Cancel the draw ahead if it has not started, else wait for it;
@@ -457,7 +456,7 @@ class BoxNoise:
 
     The values are those of ``rng.standard_normal(dims)`` cut to the
     box, and ``rng`` advances the same, without a fresh patch-sized
-    array per draw.  Calls must not overlap; :class:`_RegionNoise` keeps
+    array per draw.  Calls must not overlap; :class:`_DrawAhead` keeps
     at most one in flight.
     """
 
@@ -484,20 +483,15 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     reference diffused to the current level (the reference itself at
     t=0); in ``init_only`` mode the mix happens only at initialization.
 
-    The sampler runs on the :func:`eval_region` box only and returns the
-    clean box: its dims are ``eval_region(m, cfg).size`` and it belongs
-    at ``eval_region(m, cfg).origin`` of the patch (the whole patch in
-    ``init_only`` mode or without nodule voxels).  Noise is drawn at
-    full-patch shape (one draw ahead on the spare worker while a core is
-    idle) and cut to the box, so the box pasted into ``x_ref`` is
-    bit-identical to sampling the whole patch.  When this returns or
-    raises, no draw is in flight and ``rng`` has advanced by at most
-    :func:`noise_draws` full-patch draws (exactly that many on return).
-
-    The inputs may also be that box already: ``x_init``, ``x_ref`` and
-    ``m`` cut to it, ``m.cut`` set to its :meth:`CropRegion.cut_faces`
-    in the patch, and ``rng`` a :class:`BoxNoise` for it.  The box is
-    then its own evaluated region, and the result is the same bytes.
+    Samples exactly the arrays it is given and returns the clean volume
+    at their dims.  Whole-patch inputs give the whole patch.  Inputs cut
+    to the :func:`eval_region` box, with ``m.cut`` set to the box's
+    :meth:`CropRegion.cut_faces` in the patch and ``rng`` a
+    :class:`BoxNoise` for it, give that box, bit-identical to the same
+    box of the whole-patch result.  Draws run one ahead on the spare
+    worker while a core is idle.  When this returns or raises, no draw
+    is in flight and ``rng`` has advanced by at most :func:`noise_draws`
+    draws (exactly that many on return).
     """
     if x_ref.dims != x_init.x_t.dims or m.dims != x_ref.dims:
         raise ValueError(
@@ -508,16 +502,10 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
         raise ValueError(
             f"cfg.t_start={t_start} != initial state t={x_init.t}")
     grid = make_time_grid(s, cfg)
-    region = eval_region(m, cfg)
-    # A box cut from a larger patch keeps its own cut faces as well.
-    c = replace(crop(m, region),
-                cut=np.logical_or(m.cut, region.cut_faces(m.dims)))
-    x = crop(x_init.x_t, region)
-
     blend = None
     if cfg.blend_mode == "per_step":
-        ref = crop(x_ref, region).data
-        nodule = c.nodule_mask()
+        ref = x_ref.data
+        nodule = m.nodule_mask()
 
         def blend(x_data, t_lo):
             if t_lo == 0:
@@ -527,11 +515,12 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
             np.copyto(bg, x_data, where=nodule)
             return bg
 
-    noise = _RegionNoise(rng, x_ref.dims, region, noise_draws(grid, cfg, s))
+    noise = _DrawAhead(rng, x_ref.dims, noise_draws(grid, cfg, s))
     try:
         if cfg.method == "ancestral":
-            return ancestral_solve(x, grid, p, c, s, noise, cfg.gamma, blend)
-        return dpm_solve(x, grid, _METHOD_ORDER[cfg.method], p, c, s,
-                         rng=noise, gamma=cfg.gamma, blend=blend)
+            return ancestral_solve(x_init.x_t, grid, p, m, s, noise,
+                                   cfg.gamma, blend)
+        return dpm_solve(x_init.x_t, grid, _METHOD_ORDER[cfg.method], p, m,
+                         s, rng=noise, gamma=cfg.gamma, blend=blend)
     finally:
         noise.close()

@@ -44,7 +44,6 @@ def plant_sign_flip(monkeypatch):
     -0.0 background voxel of its box into +0.0; returns a list that
     receives that voxel's index in the box once the flip is planted."""
     import nodulesynth.eaas as eaas
-    from nodulesynth.solver import eval_region
     from nodulesynth.volume import NODULE
 
     honest = eaas.pulmonary_solve
@@ -54,9 +53,8 @@ def plant_sign_flip(monkeypatch):
         box = honest(x_init, x_ref, m, p, cfg, rng, s)
         if flipped:
             return box
-        region = eval_region(m, cfg)
         negzero = (np.signbit(box.data) & (box.data == 0.0)
-                   & (m.labels[region.slices()] != NODULE))
+                   & (m.labels != NODULE))
         at = tuple(int(i) for i in np.argwhere(negzero)[0])
         data = box.data.copy()
         data[at] = 0.0

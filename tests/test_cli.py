@@ -67,11 +67,14 @@ def test_sample_exit_codes(workdir):
 
 
 _BAD_SEED = "seed must be a non-negative integer"
+_BAD_GAMMA = "gamma must be finite and >= 0"
+_BAD_DIAMETER = "max_diameter_mm must be None or finite and > 0"
+_BAD_PROBS = "class_probs must be finite, >= 0 and sum to 1"
 
 
 # The request is checked once before any sampling, whatever --count is.
 @pytest.mark.parametrize("key,value,message,extra", [
-    ("steps", 10.5, "steps must be an integer", []),
+    ("solver.steps", 10.5, "steps must be an integer", []),
     ("patch_size", [16, 16], "patch size must be 3 positive integers", []),
     ("patch_size", [16.5, 16, 16], "patch size must be 3 positive integers",
      []),
@@ -81,13 +84,23 @@ _BAD_SEED = "seed must be a non-negative integer"
     ("seed", 1.5, _BAD_SEED, []),
     ("seed", -3, _BAD_SEED, []),
     ("seed", True, _BAD_SEED, []),
+    ("solver.gamma", float("nan"), _BAD_GAMMA, []),
+    ("solver.gamma", float("inf"), _BAD_GAMMA, []),
+    ("layout.max_diameter_mm", -5, _BAD_DIAMETER, []),
+    ("layout.max_diameter_mm", float("nan"), _BAD_DIAMETER, []),
+    ("layout.max_diameter_mm", 0, _BAD_DIAMETER, []),
+    ("layout.class_probs", [float("nan"), 0.5, 0.5], _BAD_PROBS, []),
+    ("layout.class_probs", [-0.5, 1.0, 0.5], _BAD_PROBS, []),
 ], ids=["fractional_steps", "two_axis_patch", "fractional_patch",
         "two_axis_patch_count_0", "string_seed", "fractional_seed",
-        "negative_seed", "bool_seed"])
+        "negative_seed", "bool_seed", "nan_gamma", "infinite_gamma",
+        "negative_max_diameter", "nan_max_diameter", "zero_max_diameter",
+        "nan_class_prob", "negative_class_prob"])
 def test_sample_rejects_malformed_config(workdir, capsys, key, value,
                                          message, extra):
     cfg = json.loads((workdir / "cfg.json").read_text())
-    (cfg["solver"] if key == "steps" else cfg)[key] = value
+    *section, name = key.split(".")
+    (cfg.setdefault(section[0], {}) if section else cfg)[name] = value
     (workdir / "bad.json").write_text(json.dumps(cfg))
     assert main(["sample", "--config", str(workdir / "bad.json"),
                  "--reference", str(workdir / "data" / "ph0.vol.ldpv"),

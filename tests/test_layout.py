@@ -32,6 +32,20 @@ def test_layout_config_validation():
         LayoutConfig(diameter_bounds_mm=((5.0, 2.0), (6.0, 16.0), (16.0, 57.0)))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_diameter_mm", -5.0), ("max_diameter_mm", 0.0),
+    ("max_diameter_mm", float("nan")), ("max_diameter_mm", float("inf")),
+    ("class_probs", (float("nan"), 0.5, 0.5)),
+    ("class_probs", (-0.5, 1.0, 0.5)),
+    ("class_probs", (float("inf"), 0.5, 0.5)),
+], ids=["negative_max_diameter", "zero_max_diameter", "nan_max_diameter",
+        "infinite_max_diameter", "nan_class_prob", "negative_class_prob",
+        "infinite_class_prob"])
+def test_layout_config_rejects_values_outside_finite_range(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be (None or )?finite"):
+        LayoutConfig(**{field: value})
+
+
 def test_sample_spec_class_distribution(rng):
     cfg = LayoutConfig()
     counts = {c: 0 for c in SIZE_CLASSES}

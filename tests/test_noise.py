@@ -18,11 +18,11 @@ from nodulesynth.eaas import EaasRequest, run_eaas
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import AnalyticGaussianPredictor
 from nodulesynth.schedule import make_schedule
-from nodulesynth.solver import (SolverConfig, _RegionNoise, make_time_grid,
+from nodulesynth.solver import (SolverConfig, _DrawAhead, make_time_grid,
                                 noise_draws, pulmonary_solve)
 from nodulesynth.spare import counted_request
-from nodulesynth.volume import (NODULE, CropRegion, SemanticLayout,
-                                VoxelVolume, make_phantom)
+from nodulesynth.volume import (NODULE, SemanticLayout, VoxelVolume,
+                                make_phantom)
 
 T = 100
 DIMS = (10, 9, 8)
@@ -113,14 +113,14 @@ def test_plan_counts_each_draw():
 
 
 def test_draw_beyond_plan_raises_at_once():
-    region = CropRegion((1, 1, 1), (2, 3, 4))
-    noise = _RegionNoise(np.random.default_rng(0), DIMS, region, 1)
-    assert noise.standard_normal(region.size).shape == region.size
+    noise = _DrawAhead(np.random.default_rng(0), DIMS, 1)
+    with pytest.raises(ValueError, match="planned"):
+        noise.standard_normal((2, 3, 4))
+    assert noise.standard_normal(DIMS).shape == DIMS
     with pytest.raises(RuntimeError, match="noise plan"):
-        noise.standard_normal(region.size)
+        noise.standard_normal(DIMS)
     with pytest.raises(RuntimeError, match="noise plan"):
-        _RegionNoise(np.random.default_rng(0), DIMS, region,
-                     0).standard_normal(region.size)
+        _DrawAhead(np.random.default_rng(0), DIMS, 0).standard_normal(DIMS)
 
 
 class _FailingPredictor(AnalyticGaussianPredictor):
@@ -229,14 +229,13 @@ class _ThreadRecorder:
 
 def test_counted_requests_decide_where_draws_run(monkeypatch):
     monkeypatch.setattr(spare, "_CORES", 4)
-    region = CropRegion((0, 0, 0), DIMS)
 
     def drawn_ahead():
         rng = _ThreadRecorder()
-        noise = _RegionNoise(rng, DIMS, region, 1)
+        noise = _DrawAhead(rng, DIMS, 1)
         time.sleep(0.05)  # a submitted draw of 720 normals is done by now
         started_early = len(rng.threads) == 1
-        noise.standard_normal(region.size)
+        noise.standard_normal(DIMS)
         noise.close()
         assert len(rng.threads) == 1
         on_worker = rng.threads[0] is not threading.current_thread()

@@ -1,11 +1,11 @@
 """The per-step solver evaluates only the nodule region, bit for bit.
 
-``pulmonary_solve`` runs its sampler on the nodule bounding box plus
-the predictor halo and returns that box.  These tests paste the box
-into the reference, compare it against a full-patch sampler written
-here from the public drivers, check that inputs already cut to the box
-give the same bytes, and tie the halo constant to the receptive field
-of the tiny conv net.
+A request cuts the solver's inputs to the nodule bounding box plus the
+predictor halo, and ``pulmonary_solve`` samples that box.  These tests
+cut the inputs the same way, paste the box into the reference, compare
+it against a full-patch sampler written here from the public drivers,
+check that whole-patch inputs give the same bytes, and tie the halo
+constant to the receptive field of the tiny conv net.
 """
 
 from dataclasses import replace
@@ -91,6 +91,19 @@ def _cases(draw):
     return SemanticLayout(labels), cfg, draw(st.integers(0, 2 ** 16))
 
 
+def _box_solve(x_init, x_ref, m, p, cfg, rng, s):
+    """Solve on the inputs cut to the evaluated box, drawing through a
+    box view of ``rng``, as ``run_eaas`` does; returns the box and its
+    region."""
+    region = eval_region(m, cfg)
+    box = pulmonary_solve(
+        replace(x_init, x_t=crop(x_init.x_t, region)), crop(x_ref, region),
+        replace(crop(m, region), cut=region.cut_faces(m.dims)), p, cfg,
+        BoxNoise(rng, m.dims, region), s)
+    assert box.dims == region.size
+    return box, region
+
+
 @settings(max_examples=60, deadline=None)
 @given(_cases())
 def test_region_solve_matches_full_patch_bitwise(case):
@@ -100,35 +113,26 @@ def test_region_solve_matches_full_patch_bitwise(case):
     x_ref = VoxelVolume(data_rng.uniform(-1.0, 1.0, m.dims))
     x_init = q_sample(x_ref, cfg.t_start,
                       VoxelVolume(data_rng.standard_normal(m.dims)), s)
-
-    p = _InputRecorder()
-    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s)
+    want_rng = np.random.default_rng(seed)
     want = _full_patch_solve(x_init, x_ref, m, TinyConvPredictor(seed=0),
                              cfg, want_rng, s)
 
-    region = eval_region(m, cfg)
-    assert got.dims == region.size
-    got = paste(x_ref, got, region)
-    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+    p, rng = _InputRecorder(), np.random.default_rng(seed)
+    box, region = _box_solve(x_init, x_ref, m, p, cfg, rng, s)
+    assert np.array_equal(paste(x_ref, box, region).data.view(np.uint64),
+                          want.data.view(np.uint64))
     assert p.eval_count == expected_nfe(cfg.method, cfg.steps)
-    seen = {(region.size, region.cut_faces(m.dims))}
-    assert set(p.inputs_seen) == seen
+    assert set(p.inputs_seen) == {(region.size, region.cut_faces(m.dims))}
     # Both consumed the same full-patch draws.
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
-    # The same solve on inputs already cut to the box, drawing through
-    # a box view of the generator, as run_eaas calls it.
-    box_rng = np.random.default_rng(seed)
-    box_p = _InputRecorder()
-    got_box = pulmonary_solve(
-        replace(x_init, x_t=crop(x_init.x_t, region)), crop(x_ref, region),
-        replace(crop(m, region), cut=region.cut_faces(m.dims)), box_p, cfg,
-        BoxNoise(box_rng, m.dims, region), s)
-    assert np.array_equal(paste(x_ref, got_box, region).data.view(np.uint64),
-                          got.data.view(np.uint64))
-    assert set(box_p.inputs_seen) == seen
-    assert box_rng.bit_generator.state == rng.bit_generator.state
+    # Whole-patch inputs sample the whole patch to the same bytes.
+    whole_p, whole_rng = _InputRecorder(), np.random.default_rng(seed)
+    whole = pulmonary_solve(x_init, x_ref, m, whole_p, cfg, whole_rng, s)
+    assert np.array_equal(whole.data.view(np.uint64),
+                          want.data.view(np.uint64))
+    assert set(whole_p.inputs_seen) == {(m.dims, m.cut)}
+    assert whole_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class _CutRecorder(TinyConvPredictor):
@@ -161,15 +165,13 @@ def test_region_cut_inside_and_on_patch_border(method):
                       VoxelVolume(data_rng.standard_normal(dims)), s)
 
     p = _CutRecorder()
-    got = pulmonary_solve(x_init, x_ref, m, p, cfg,
-                          np.random.default_rng(9), s)
+    box, region = _box_solve(x_init, x_ref, m, p, cfg,
+                             np.random.default_rng(9), s)
     want = _full_patch_solve(x_init, x_ref, m, TinyConvPredictor(seed=0),
                              cfg, np.random.default_rng(9), s)
     assert p.cuts_seen == {((False, True), (True, True), (True, False))}
-    region = eval_region(m, cfg)
-    assert got.dims == region.size
-    got = paste(x_ref, got, region)
-    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+    assert np.array_equal(paste(x_ref, box, region).data.view(np.uint64),
+                          want.data.view(np.uint64))
 
 
 def test_region_is_nodule_box_plus_halo():

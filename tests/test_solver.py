@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from nodulesynth.errors import SolverError
 from nodulesynth.forward import NoisyState, q_sample
 from nodulesynth.predictor import AnalyticGaussianPredictor, NoisePredictor
 from nodulesynth.schedule import make_schedule
-from nodulesynth.solver import (HYBRID_WINDOW_FRAC, SolverConfig,
+from nodulesynth.solver import (HYBRID_WINDOW_FRAC, BoxNoise, SolverConfig,
                                 ancestral_solve, ancestral_step, dpm_solve,
                                 dpm_update, expected_nfe, grid_from_times,
                                 eval_region, hybrid_noise, make_time_grid,
@@ -30,6 +31,12 @@ def test_solver_config_validation():
         SolverConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(blend_mode="always")
+
+
+@pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf")])
+def test_solver_config_rejects_gamma_outside_finite_range(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+        SolverConfig(gamma=gamma)
 
 
 @pytest.mark.parametrize("field,value", [("steps", 10.5), ("steps", 10.0),
@@ -356,9 +363,8 @@ def test_pulmonary_solve_t_start_mismatch(cosine1000, rng, small_layout):
 # -- the per-step background blend -------------------------------------------
 
 # VoxelVolumes one per_step solve builds outside the predictor edge: the
-# crops of the initial state and of the reference, the driver's result
-# and the paste into the reference.
-_SOLVE_EDGE_VOLUMES = 4
+# driver's result.
+_SOLVE_EDGE_VOLUMES = 1
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.7])
@@ -380,7 +386,7 @@ def test_per_step_solve_builds_volumes_only_at_its_edges(
     # Per evaluation: the state handed to the predictor and its output.
     nfe = expected_nfe(method, cfg.steps)
     assert p.eval_count == nfe
-    assert built["VoxelVolume"] <= 2 * nfe + _SOLVE_EDGE_VOLUMES
+    assert built["VoxelVolume"] == 2 * nfe + _SOLVE_EDGE_VOLUMES
     assert built["NoisyState"] == 0
 
 
@@ -395,13 +401,16 @@ class _InputRecorder(AnalyticGaussianPredictor):
 
 
 class _DrawRecorder:
+    """Generator stand-in that keeps a copy of every draw."""
+
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.draws = []
 
-    def standard_normal(self, size):
-        self.draws.append(self.rng.standard_normal(size))
-        return self.draws[-1]
+    def standard_normal(self, size=None, out=None):
+        draw = self.rng.standard_normal(size, out=out)
+        self.draws.append(draw.copy())
+        return draw
 
 
 @settings(max_examples=40, deadline=None)
@@ -411,7 +420,8 @@ def test_blend_background_is_q_sample_bitwise(t_start, steps, seed):
     # dpm2 with gamma 0 evaluates every node right after the blend and
     # makes one draw per step that ends above t = 0, so the background
     # the predictor sees at node i is the reference diffused with draw
-    # i - 1.  The reference holds -0.0 voxels.
+    # i - 1, cut to the box.  The inputs are cut to the evaluated box as
+    # run_eaas cuts them.  The reference holds -0.0 voxels.
     s = make_schedule("cosine", 100)
     steps = min(steps, t_start)
     dims = (14, 13, 12)
@@ -425,13 +435,15 @@ def test_blend_background_is_q_sample_bitwise(t_start, steps, seed):
     init = q_sample(x_ref, t_start,
                     VoxelVolume(data_rng.standard_normal(dims)), s)
     cfg = SolverConfig(steps=steps, t_start=t_start)
-    p, rng = _InputRecorder(s), _DrawRecorder(seed)
-    pulmonary_solve(init, x_ref, m, p, cfg, rng, s)
-
     region = eval_region(m, cfg)
     assert region.size != dims
     ref = crop(x_ref, region)
     background = ~crop(m, region).nodule_mask()
+    p, rng = _InputRecorder(s), _DrawRecorder(seed)
+    pulmonary_solve(replace(init, x_t=crop(init.x_t, region)), ref,
+                    replace(crop(m, region), cut=region.cut_faces(dims)), p,
+                    cfg, BoxNoise(rng, dims, region), s)
+
     ts = make_time_grid(s, cfg).ts
     assert [t for t, _ in p.inputs] == list(ts)
     for i, (t, x) in enumerate(p.inputs[1:-1], start=1):
