@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eaas import run_eaas
-from .errors import NoduleSynthError
+from .errors import NoduleSynthError, ValidationError
 from .predictor import TinyConvPredictor
 
 
@@ -76,14 +76,14 @@ def run_bench(name, request, n_trials=10, warmup=1):
 
     The last warm-up is traced for the peak allocation; without one, the
     first successful trial's seed runs again, traced, after the timed
-    ones.  A trial that raises a library error (``NoduleSynthError`` or
-    ``ValueError``) is skipped, and the report needs one success.  Any
-    other exception is a bug and propagates.
+    ones.  A trial that raises a ``NoduleSynthError`` (a
+    ``ValidationError`` included) is skipped, and the report needs one
+    success.  Any other exception is a bug and propagates.
     """
     if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
+        raise ValidationError(f"warmup must be >= 0, got {warmup}")
 
     def seeded(k):
         return replace(request, seed=request.seed + k)
@@ -97,7 +97,7 @@ def run_bench(name, request, n_trials=10, warmup=1):
         t0 = time.perf_counter()
         try:
             result = run_eaas(seeded(warmup + i))
-        except (NoduleSynthError, ValueError) as err:
+        except NoduleSynthError as err:
             failures.append(f"trial {i}: {type(err).__name__}: {err}")
             continue
         times.append(time.perf_counter() - t0)
@@ -121,7 +121,7 @@ def compare(reports, baseline=0):
     Ratios are baseline / row, so larger means the row is cheaper.
     """
     if len(reports) < 2:
-        raise ValueError("need at least 2 reports to compare")
+        raise ValidationError("need at least 2 reports to compare")
     base = reports[baseline]
     return [{
         "config": rep.config,

@@ -5,14 +5,15 @@ randomness flows from a single --seed, configs are strict JSON (unknown
 keys rejected before any work starts), machine outputs go to files or
 stdout while logs go to stderr (LDPM_LOG={error,info,debug}).
 
-Exit codes: 0 success, 2 validation error, 3 runtime/numeric error,
-4 I/O error.
+Exit codes: 0 success; 2 a ``ValidationError`` (a bad flag, config
+value or library argument); 4 a ``FormatError`` or ``OSError`` (I/O);
+3 any other ``NoduleSynthError`` (a runtime or numeric failure).  Every
+other exception is a bug and propagates with its traceback.
 """
 
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +26,7 @@ from .errors import FormatError, NoduleSynthError, ValidationError
 from .layout import LayoutConfig
 from .predictor import (AnalyticGaussianPredictor, TinyConvPredictor, train,
                         write_loss_curve)
-from .schedule import is_int, make_schedule
+from .schedule import make_schedule
 from .solver import SolverConfig
 from .volume import (make_phantom, read_layout, read_volume, write_layout,
                      write_volume)
@@ -52,7 +53,7 @@ def load_config(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError or UnicodeDecodeError
         raise ValidationError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path} must be a JSON object")
@@ -70,47 +71,13 @@ def load_config(path):
     return doc
 
 
-def _build_schedule(doc):
-    sec = doc.get("schedule", {})
-    try:
-        return make_schedule(sec.get("kind", "cosine"), sec.get("T", 1000))
-    except ValueError as err:
-        raise ValidationError(f"schedule: {err}") from err
-
-
-def _build_solver(doc):
-    sec = dict(doc.get("solver", {}))
-    try:
-        return SolverConfig(**sec)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"solver: {err}") from err
-
-
-def _build_layout_cfg(doc):
-    sec = dict(doc.get("layout", {}))
-    if not sec:
-        return None
-    for key in ("class_probs", "axis_ratio_range"):
-        if key in sec:
-            sec[key] = tuple(sec[key])
-    if "diameter_bounds_mm" in sec:
-        sec["diameter_bounds_mm"] = tuple(tuple(b) for b in sec["diameter_bounds_mm"])
-    try:
-        return LayoutConfig(**sec)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"layout: {err}") from err
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_phantom(args):
-    dims = tuple(args.dims)
-    if len(dims) != 3 or any(d < 16 for d in dims):
-        raise ValidationError(f"--dims must be 3 values >= 16, got {dims}")
-    vol, layout = make_phantom(args.seed, dims)
+    vol, layout = make_phantom(args.seed, args.dims)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_volume(vol, f"{out}.vol.ldpv")
@@ -131,28 +98,14 @@ def _load_pairs(data_dir):
 
 def cmd_train(args):
     doc = load_config(args.config)
-    s = _build_schedule(doc)
+    s = make_schedule(**doc.get("schedule", {}))
     train_sec = doc.get("train", {})
     epochs = train_sec.get("epochs", 10)
     lr = train_sec.get("lr", 1e-3)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if not is_int(epochs) or epochs < 0:
-        raise ValidationError(
-            f"train: epochs must be an integer >= 0, got {epochs!r}")
-    if (isinstance(lr, bool) or not isinstance(lr, (int, float))
-            or not 0 < lr < math.inf):
-        raise ValidationError(
-            f"train: lr must be a positive real number, got {lr!r}")
-    if not is_int(seed) or seed < 0:
-        raise ValidationError(
-            f"seed must be a non-negative integer, got {seed!r}")
-
     pairs = _load_pairs(args.data_dir)
-    if not pairs:
-        raise ValidationError(
-            f"no *.vol.ldpv / *.lay.ldpv pairs found in {args.data_dir}")
     p = TinyConvPredictor(seed=seed)
-    losses = train(p, pairs, s, epochs=epochs, lr=float(lr), seed=seed)
+    losses = train(p, pairs, s, epochs=epochs, lr=lr, seed=seed)
     Path(args.out_weights).parent.mkdir(parents=True, exist_ok=True)
     p.save(args.out_weights)
     write_loss_curve(losses, f"{args.out_weights}.loss.csv")
@@ -163,9 +116,9 @@ def cmd_train(args):
 
 def cmd_sample(args):
     doc = load_config(args.config)
-    s = _build_schedule(doc)
-    solver_cfg = _build_solver(doc)
-    layout_cfg = _build_layout_cfg(doc)
+    s = make_schedule(**doc.get("schedule", {}))
+    solver_cfg = SolverConfig(**doc.get("solver", {}))
+    layout_cfg = LayoutConfig(**doc["layout"]) if doc.get("layout") else None
     patch_size = doc.get("patch_size", (32, 32, 32))
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     if args.count < 0:
@@ -185,13 +138,10 @@ def cmd_sample(args):
             raise ValidationError("either --weights or --analytic is required")
         predictor = TinyConvPredictor.load(args.weights)
 
-    try:
-        first = EaasRequest(reference=reference, lung_layout=lung_layout,
-                            predictor=predictor, schedule=s,
-                            solver=solver_cfg, layout_cfg=layout_cfg,
-                            patch_size=patch_size, seed=seed)
-    except ValueError as err:
-        raise ValidationError(f"request: {err}") from err
+    first = EaasRequest(reference=reference, lung_layout=lung_layout,
+                        predictor=predictor, schedule=s, solver=solver_cfg,
+                        layout_cfg=layout_cfg, patch_size=patch_size,
+                        seed=seed)
     requests = [replace(first, seed=seed + i) for i in range(args.count)]
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     items = run_batch(requests, parallelism=args.parallelism)
@@ -364,13 +314,12 @@ def main(argv=None):
     try:
         return args.func(args)
     except ValidationError as err:
-        log.error("%s", err)
         print(f"validation error: {err}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return 4
-    except (NoduleSynthError, ValueError, ArithmeticError) as err:
+    except NoduleSynthError as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 3
 

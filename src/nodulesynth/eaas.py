@@ -22,11 +22,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoduleSynthError, PlacementError
+from .errors import NoduleSynthError, PlacementError, ValidationError
 from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
-from .schedule import is_int
+from .schedule import check_seed, is_int
 from .solver import (BoxNoise, SolverConfig, eval_region, expected_nfe,
                      pulmonary_solve)
 from .spare import counted_request
@@ -48,24 +48,21 @@ class EaasRequest:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got "
-                             f"{self.seed!r}")
+        check_seed(self.seed)
         size = self.patch_size
         if (not isinstance(size, (tuple, list)) or len(size) != 3
                 or not all(is_int(v) and v > 0 for v in size)):
-            raise ValueError(f"patch size must be 3 positive integers, got "
-                             f"{size!r}")
+            raise ValidationError(
+                f"patch size must be 3 positive integers, got {size!r}")
         object.__setattr__(self, "patch_size", tuple(int(v) for v in size))
         if self.lung_layout.dims != self.reference.dims:
-            raise ValueError(
+            raise ValidationError(
                 f"layout dims {self.lung_layout.dims} != reference dims "
                 f"{self.reference.dims}")
-        for sz, d in zip(self.patch_size, self.reference.dims):
-            if sz > d:
-                raise ValueError(
-                    f"patch size {self.patch_size} exceeds reference dims "
-                    f"{self.reference.dims}")
+        if any(sz > d for sz, d in zip(self.patch_size, self.reference.dims)):
+            raise ValidationError(
+                f"patch size {self.patch_size} exceeds reference dims "
+                f"{self.reference.dims}")
 
 
 @dataclass(frozen=True)
@@ -189,19 +186,19 @@ def run_batch(requests, parallelism=1):
     """Run independent requests, order-aligned with the input.
 
     Each item is identical to a standalone :func:`run_eaas` with the
-    same seed regardless of ``parallelism``; per-request failures
-    (``NoduleSynthError`` or ``ValueError``) are captured in the item
-    instead of aborting the batch.  Any other exception is a bug and
-    propagates.
+    same seed regardless of ``parallelism``; a request that raises a
+    ``NoduleSynthError`` (a ``ValidationError`` included) is captured in
+    its item instead of aborting the batch.  Any other exception is a
+    bug and propagates.
     """
     requests = list(requests)
     if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
 
     def one(req):
         try:
             return BatchItem(request=req, result=run_eaas(req))
-        except (NoduleSynthError, ValueError) as err:
+        except NoduleSynthError as err:
             return BatchItem(request=req, error=f"{type(err).__name__}: {err}")
 
     if parallelism == 1 or len(requests) <= 1:

@@ -31,5 +31,5 @@ class TrainingError(NoduleSynthError):
     """Training aborted (non-finite loss)."""
 
 
-class ValidationError(NoduleSynthError):
-    """A config document failed strict validation."""
+class ValidationError(NoduleSynthError, ValueError):
+    """An invalid argument or config value; a ValueError for old callers."""

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .volume import SemanticLayout, VoxelVolume
 
 
@@ -21,7 +22,7 @@ class NoisyState:
 
     def __post_init__(self):
         if self.t < 0 or self.t > self.schedule.T:
-            raise ValueError(f"t={self.t} outside [0, {self.schedule.T}]")
+            raise ValidationError(f"t={self.t} outside [0, {self.schedule.T}]")
 
 
 def diffuse(x0, t, eps, s):
@@ -34,7 +35,7 @@ def diffuse(x0, t, eps, s):
 def q_sample(x0, t, eps, s):
     """Diffuse clean data to level t: x_t = sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps."""
     if eps.dims != x0.dims:
-        raise ValueError(f"eps dims {eps.dims} != x0 dims {x0.dims}")
+        raise ValidationError(f"eps dims {eps.dims} != x0 dims {x0.dims}")
     return NoisyState(VoxelVolume(diffuse(x0.data, t, eps.data, s),
                                   x0.spacing), t, s)
 
@@ -56,7 +57,7 @@ def masked_mix(bg, n, m):
     ``bg.x_t``.  The time index is unchanged.
     """
     if n.dims != bg.x_t.dims or m.dims != bg.x_t.dims:
-        raise ValueError(
+        raise ValidationError(
             f"dims mismatch: bg {bg.x_t.dims}, n {n.dims}, m {m.dims}")
     mask = m.nodule_mask()
     mixed = np.where(mask, n.data, bg.x_t.data)

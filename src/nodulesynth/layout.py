@@ -8,42 +8,63 @@ rasterizes the ellipsoid at a random center inside lung-labeled
 regions.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlacementError, SearchExhaustedError
+from .errors import PlacementError, SearchExhaustedError, ValidationError
+from .schedule import is_finite_real
 from .volume import LUNG, NODULE, CropRegion, SemanticLayout
 
 SIZE_CLASSES = ("small", "medium", "large")
 
 
+def _real_tuple(value, shape):
+    """``value`` as nested tuples of finite real numbers of ``shape``, or
+    None when it is not a list or tuple of that shape."""
+    if not isinstance(value, (tuple, list)) or len(value) != shape[0]:
+        return None
+    if len(shape) == 1:
+        return tuple(value) if all(map(is_finite_real, value)) else None
+    items = tuple(_real_tuple(v, shape[1:]) for v in value)
+    return None if None in items else items
+
+
 @dataclass(frozen=True)
 class LayoutConfig:
+    """Nodule size and shape distribution; list values become tuples."""
+
     class_probs: tuple = (0.19, 0.62, 0.19)
     diameter_bounds_mm: tuple = ((1.41, 6.0), (6.0, 16.0), (16.0, 57.42))
     axis_ratio_range: tuple = (0.6, 1.0)
     max_diameter_mm: float = None  # optional extra cap (e.g. patch size)
 
     def __post_init__(self):
-        if (not all(0 <= p < math.inf for p in self.class_probs)
-                or abs(sum(self.class_probs) - 1.0) > 1e-9):
-            raise ValueError(f"class_probs must be finite, >= 0 and sum to "
-                             f"1, got {self.class_probs}")
-        lo, hi = self.axis_ratio_range
-        if not (0 < lo <= hi <= 1.0):
-            raise ValueError(f"bad axis_ratio_range {self.axis_ratio_range}")
-        prev_hi = 0.0
-        for lo_d, hi_d in self.diameter_bounds_mm:
-            if not (0 < lo_d < hi_d) or lo_d < prev_hi:
-                raise ValueError(
-                    f"diameter bounds must be ordered, got {self.diameter_bounds_mm}")
-            prev_hi = lo_d
-        if not (self.max_diameter_mm is None
-                or 0 < self.max_diameter_mm < math.inf):
-            raise ValueError(f"max_diameter_mm must be None or finite and "
-                             f"> 0, got {self.max_diameter_mm}")
+        n = len(SIZE_CLASSES)
+        probs = _real_tuple(self.class_probs, (n,))
+        if probs is None or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
+            raise ValidationError(
+                f"class_probs must be finite, >= 0 and sum to 1 over the "
+                f"{n} size classes, got {self.class_probs!r}")
+        ratios = _real_tuple(self.axis_ratio_range, (2,))
+        if ratios is None or not 0 < ratios[0] <= ratios[1] <= 1.0:
+            raise ValidationError(
+                f"bad axis_ratio_range {self.axis_ratio_range!r}: need "
+                f"(lo, hi) with 0 < lo <= hi <= 1")
+        bounds = _real_tuple(self.diameter_bounds_mm, (n, 2))
+        lows = [lo for lo, _ in bounds or ()]
+        if (bounds is None or lows != sorted(lows)
+                or not all(0 < lo < hi for lo, hi in bounds)):
+            raise ValidationError(
+                f"diameter bounds must be ordered (lo, hi) pairs, one per "
+                f"size class, got {self.diameter_bounds_mm!r}")
+        cap = self.max_diameter_mm
+        if not (cap is None or (is_finite_real(cap) and cap > 0)):
+            raise ValidationError(f"max_diameter_mm must be None or finite "
+                                  f"and > 0, got {cap!r}")
+        object.__setattr__(self, "class_probs", probs)
+        object.__setattr__(self, "axis_ratio_range", ratios)
+        object.__setattr__(self, "diameter_bounds_mm", bounds)
 
 
 @dataclass(frozen=True)
@@ -162,9 +183,8 @@ def pick_healthy_crop(layout, existing_nodules, size, rng, max_tries=1000,
     """
     dims = layout.dims
     size = tuple(int(v) for v in size)
-    for d, sz in zip(dims, size):
-        if sz > d:
-            raise ValueError(f"crop size {size} exceeds layout dims {dims}")
+    if any(sz > d for d, sz in zip(dims, size)):
+        raise ValidationError(f"crop size {size} exceeds layout dims {dims}")
     n_vox = int(np.prod(size))
     for _ in range(max_tries):
         origin = tuple(int(rng.integers(0, d - sz + 1))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictor import AnalyticGaussianPredictor
-from .schedule import coefficients_of_lambda
+from .schedule import check_seed, coefficients_of_lambda
 from .solver import dpm_solve, grid_from_times
 from .volume import VoxelVolume
 
@@ -91,6 +91,7 @@ def convergence_study(s, mu=0.3, var=0.25, t_start=850,
     and compares against a single shared high-resolution reference
     solution.  Returns one :class:`ConvergenceResult` per order.
     """
+    check_seed(seed)
     lam_start = float(s.lam[t_start])
     lam_end = float(s.lam[1])
     rng = np.random.default_rng(seed)

@@ -17,8 +17,10 @@ from functools import partial
 import numpy as np
 from scipy.special import expit
 
-from .errors import FormatError, TrainingError
+from .errors import (FormatError, SolverError, TrainingError,
+                     ValidationError)
 from .forward import q_sample
+from .schedule import check_seed, is_finite_real, is_int
 from .spare import counted_request, settle, submit
 from .volume import NO_CUT, VoxelVolume
 
@@ -61,10 +63,10 @@ class NoisePredictor:
 
     def predict(self, x_t, t, c):
         if c is not None and c.dims != x_t.dims:
-            raise ValueError(f"condition dims {c.dims} != input dims {x_t.dims}")
+            raise ValidationError(f"condition dims {c.dims} != input dims {x_t.dims}")
         out = self._predict(x_t, t, c)
         if out.dims != x_t.dims:
-            raise ValueError("predictor returned mismatched dims")
+            raise SolverError("predictor returned mismatched dims")
         self.eval_count += 1
         return out
 
@@ -82,8 +84,9 @@ class AnalyticGaussianPredictor(NoisePredictor):
 
     def __init__(self, mu, var, schedule):
         super().__init__()
-        if var <= 0:
-            raise ValueError(f"var must be positive, got {var}")
+        if not (is_finite_real(mu) and is_finite_real(var) and var > 0):
+            raise ValidationError(f"mu must be finite and var finite and "
+                                  f"positive, got mu={mu!r}, var={var!r}")
         self.mu = float(mu)
         self.var = float(var)
         self.schedule = schedule
@@ -299,6 +302,7 @@ class TinyConvPredictor(NoisePredictor):
             for name, shape in self.SHAPES:
                 self.params[name] = np.zeros(shape)
         else:
+            check_seed(seed)
             rng = np.random.default_rng(seed)
             for name, shape in self.SHAPES:
                 if name.startswith("w"):
@@ -315,13 +319,13 @@ class TinyConvPredictor(NoisePredictor):
         return np.concatenate([self.params[n].ravel() for n, _ in self.SHAPES])
 
     def set_flat(self, flat):
+        if flat.size != self.n_params:
+            raise ValidationError(f"expected {self.n_params} parameters, got {flat.size}")
         offset = 0
         for name, shape in self.SHAPES:
             size = int(np.prod(shape))
             self.params[name] = flat[offset:offset + size].reshape(shape).copy()
             offset += size
-        if offset != flat.size:
-            raise ValueError(f"expected {offset} parameters, got {flat.size}")
 
     def _forward(self, x_t_data, mask_data, t, product, cut=NO_CUT,
                  alloc=_fresh):
@@ -448,9 +452,11 @@ class TinyConvPredictor(NoisePredictor):
             raise FormatError(
                 f"checkpoint payload mismatch: expected {12 + 4 * count} bytes, "
                 f"got {len(raw)}", offset=12)
-        flat = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64)
         p = cls()
-        p.set_flat(flat)
+        if count != p.n_params:
+            raise FormatError(f"checkpoint holds {count} parameters, the net "
+                              f"has {p.n_params}", offset=8)
+        p.set_flat(np.frombuffer(raw, "<f4", offset=12).astype(np.float64))
         return p
 
 
@@ -482,7 +488,7 @@ def train_step(p, x0, m, rng, s, lr=1e-3, optimizer=None):
     the pre-update loss.  It counts as a request for the spare-core gate
     (``spare.counted_request``)."""
     if m.dims != x0.dims:
-        raise ValueError(f"layout dims {m.dims} != patch dims {x0.dims}")
+        raise ValidationError(f"layout dims {m.dims} != patch dims {x0.dims}")
     t = int(rng.integers(1, s.T + 1))
     eps = VoxelVolume(rng.standard_normal(x0.dims), x0.spacing)
     loss, grads = p.loss_and_grads(x0, m, t, eps, s)
@@ -501,7 +507,14 @@ def train(p, dataset, s, epochs, lr=1e-3, seed=0):
     """
     dataset = list(dataset)
     if not dataset:
-        raise ValueError("dataset must be nonempty")
+        raise ValidationError("dataset holds no (patch, layout) pair")
+    if not is_int(epochs) or epochs < 0:
+        raise ValidationError(
+            f"epochs must be an integer >= 0, got {epochs!r}")
+    if not (is_finite_real(lr) and lr > 0):
+        raise ValidationError(
+            f"lr must be a positive real number, got {lr!r}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     opt = Adam(p.n_params, lr=lr)
     losses = []

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Half-log-SNR is unbounded at t=0 (alpha_bar = 1); cap it so solver
 # arithmetic stays finite.  13.8 corresponds to an SNR of ~1e12.
 LAMBDA_CAP = 13.8
@@ -42,7 +44,7 @@ class NoiseSchedule:
     def coefficients_at(self, t):
         """Return (alpha_bar_t, sigma_t, lambda_t) for an integer step t."""
         if not float(t).is_integer() or t < 0 or t > self.T:
-            raise ValueError(f"step index {t} outside [0, {self.T}]")
+            raise ValidationError(f"step index {t} outside [0, {self.T}]")
         t = int(t)
         return float(self.alpha_bar[t]), float(self.sigma[t]), float(self.lam[t])
 
@@ -66,7 +68,7 @@ class NoiseSchedule:
         """Half-log-SNR at a (possibly fractional) time t in [0, T]."""
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 0) or np.any(t > self.T):
-            raise ValueError(f"time {t} outside [0, {self.T}]")
+            raise ValidationError(f"time {t} outside [0, {self.T}]")
         ts = np.arange(self.T + 1, dtype=np.float64)
         return np.interp(t, ts, self.lam)
 
@@ -112,6 +114,19 @@ def is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def check_seed(seed):
+    """Raise ValidationError unless ``seed`` is a non-negative integer."""
+    if not is_int(seed) or seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed!r}")
+
+
+def is_finite_real(v):
+    """Whether ``v`` is a finite Python or numpy real number (bool is not)."""
+    return ((is_int(v) or isinstance(v, (float, np.floating)))
+            and math.isfinite(v))
+
+
 def _cosine_alpha_bar(t, T):
     """Closed-form squared-cosine signal fraction at step t."""
     s = COSINE_OFFSET
@@ -120,7 +135,7 @@ def _cosine_alpha_bar(t, T):
     return np.cos(angle) ** 2 / math.cos(angle0) ** 2
 
 
-def make_schedule(kind, T):
+def make_schedule(kind="cosine", T=1000):
     """Build a :class:`NoiseSchedule`.
 
     kind: "cosine" (squared-cosine alpha_bar with offset 0.008) or
@@ -129,7 +144,7 @@ def make_schedule(kind, T):
     (1 - beta) so the variance-preserving identity holds exactly.
     """
     if not is_int(T) or T < 2:
-        raise ValueError(f"T must be an integer >= 2, got {T!r}")
+        raise ValidationError(f"T must be an integer >= 2, got {T!r}")
     T = int(T)
 
     if kind == "cosine":
@@ -140,7 +155,7 @@ def make_schedule(kind, T):
         scale = 1000.0 / T
         beta = np.linspace(1e-4 * scale, 0.02 * scale, T)
     else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
+        raise ValidationError(f"unknown schedule kind {kind!r}")
 
     beta = np.clip(beta, 1e-12, BETA_MAX)
     alpha_bar = np.empty(T + 1, dtype=np.float64)

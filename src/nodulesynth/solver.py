@@ -50,11 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, ValidationError
 # q_sample is not called here; perfbench traces solver.q_sample by name.
 from .forward import diffuse, q_sample  # noqa: F401
 from .predictor import HALO
-from .schedule import is_int
+from .schedule import is_finite_real, is_int
 from .spare import settle, submit
 from .volume import CropRegion, VoxelVolume
 
@@ -73,19 +73,19 @@ class SolverConfig:
     t_start: int = None
 
     def __post_init__(self):
-        if self.method not in _METHOD_ORDER and self.method != "ancestral":
-            raise ValueError(f"unknown solver method {self.method!r}")
+        if self.method not in ("ancestral", *_METHOD_ORDER):
+            raise ValidationError(f"unknown solver method {self.method!r}")
         if not is_int(self.steps) or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, got "
-                             f"{self.steps!r}")
+            raise ValidationError(
+                f"steps must be an integer >= 1, got {self.steps!r}")
         if self.t_start is not None and not is_int(self.t_start):
-            raise ValueError(f"t_start must be an integer or None, got "
-                             f"{self.t_start!r}")
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got "
-                             f"{self.gamma}")
+            raise ValidationError(
+                f"t_start must be an integer or None, got {self.t_start!r}")
+        if not (is_finite_real(self.gamma) and self.gamma >= 0):
+            raise ValidationError(
+                f"gamma must be finite and >= 0, got {self.gamma!r}")
         if self.blend_mode not in ("init_only", "per_step"):
-            raise ValueError(f"unknown blend_mode {self.blend_mode!r}")
+            raise ValidationError(f"unknown blend_mode {self.blend_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def grid_from_times(s, ts, terminal_table=True):
     """
     ts = np.asarray(ts, dtype=np.float64)
     if np.any(np.diff(ts) >= 0):
-        raise ValueError("time grid must be strictly decreasing")
+        raise ValidationError("time grid must be strictly decreasing")
     ab = np.empty_like(ts)
     sig = np.empty_like(ts)
     lam = np.empty_like(ts)
@@ -139,9 +139,9 @@ def make_time_grid(s, cfg):
     """
     t_start = s.T if cfg.t_start is None else int(cfg.t_start)
     if t_start < 1 or t_start > s.T:
-        raise ValueError(f"t_start={t_start} outside [1, {s.T}]")
+        raise ValidationError(f"t_start={t_start} outside [1, {s.T}]")
     if cfg.steps > t_start:
-        raise ValueError(f"steps={cfg.steps} exceeds t_start={t_start}")
+        raise ValidationError(f"steps={cfg.steps} exceeds t_start={t_start}")
 
     if cfg.steps == 1:
         ts = [t_start, 0]
@@ -260,7 +260,7 @@ def ancestral_step(x, x0, t_hi, t_lo, rng, s):
     on the final step to t_lo = 0.
     """
     if t_lo >= t_hi:
-        raise ValueError(f"need t_hi > t_lo, got {t_hi} <= {t_lo}")
+        raise ValidationError(f"need t_hi > t_lo, got {t_hi} <= {t_lo}")
     ab_hi, _, _ = s.coefficients_at(t_hi)
     ab_lo, _, _ = s.coefficients_at(t_lo)
     a = ab_hi / ab_lo
@@ -281,7 +281,7 @@ def hybrid_noise(x, t_lo, dt, gamma, rng, s):
     or t_lo is at/past the window (including t_lo = 0).
     """
     if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+        raise ValidationError(f"gamma must be >= 0, got {gamma}")
     if gamma == 0.0 or t_lo <= HYBRID_WINDOW_FRAC * s.T or t_lo <= 0:
         return x
     g = math.sqrt(s.diffusion_sq(t_lo))
@@ -428,7 +428,7 @@ class _DrawAhead:
 
     def standard_normal(self, size):
         if tuple(size) != self._dims:
-            raise ValueError(
+            raise ValidationError(
                 f"draw of shape {tuple(size)} != planned {self._dims}")
         if not self._left:
             raise RuntimeError("noise draw beyond the solver's noise plan")
@@ -468,7 +468,7 @@ class BoxNoise:
 
     def standard_normal(self, size):
         if tuple(size) != self._size:
-            raise ValueError(
+            raise ValidationError(
                 f"draw of shape {tuple(size)} != box size {self._size}")
         self._rng.standard_normal(out=self._buf)
         return self._buf[self._slices].copy()
@@ -494,12 +494,12 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     draws (exactly that many on return).
     """
     if x_ref.dims != x_init.x_t.dims or m.dims != x_ref.dims:
-        raise ValueError(
+        raise ValidationError(
             f"dims mismatch: init {x_init.x_t.dims}, ref {x_ref.dims}, "
             f"mask {m.dims}")
     t_start = int(x_init.t) if cfg.t_start is None else int(cfg.t_start)
     if t_start != int(x_init.t):
-        raise ValueError(
+        raise ValidationError(
             f"cfg.t_start={t_start} != initial state t={x_init.t}")
     grid = make_time_grid(s, cfg)
     blend = None

@@ -11,12 +11,14 @@ are stored as f32, so volumes whose in-memory values originate from f32
 round-trip bit-exactly.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
+from .schedule import check_seed
 
 BACKGROUND, LUNG, NODULE = 0, 1, 2
 
@@ -40,12 +42,12 @@ class VoxelVolume:
         # A read-only view: no copy, and the caller's array stays writable.
         data = np.asarray(self.data, dtype=np.float64).view()
         if data.ndim != 3:
-            raise ValueError(f"volume data must be 3D, got shape {data.shape}")
+            raise ValidationError(f"volume data must be 3D, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
-            raise ValueError("volume data contains non-finite values")
+            raise ValidationError("volume data contains non-finite values")
         spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be 3 positive floats, got {self.spacing}")
+        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+            raise ValidationError(f"spacing must be 3 positive finite floats, got {self.spacing}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", spacing)
@@ -77,15 +79,15 @@ class SemanticLayout:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.uint8).view()
         if labels.ndim != 3:
-            raise ValueError(f"layout labels must be 3D, got shape {labels.shape}")
+            raise ValidationError(f"layout labels must be 3D, got shape {labels.shape}")
         if labels.size and labels.max() > NODULE:
-            raise ValueError("layout labels must be in {0, 1, 2}")
+            raise ValidationError("layout labels must be in {0, 1, 2}")
         spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be 3 positive floats, got {self.spacing}")
+        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+            raise ValidationError(f"spacing must be 3 positive finite floats, got {self.spacing}")
         cut = tuple((bool(lo), bool(hi)) for lo, hi in self.cut)
         if len(cut) != 3:
-            raise ValueError(f"cut must be 3 (low, high) pairs, got {self.cut}")
+            raise ValidationError(f"cut must be 3 (low, high) pairs, got {self.cut}")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "spacing", spacing)
@@ -110,9 +112,9 @@ class CropRegion:
         origin = tuple(int(v) for v in self.origin)
         size = tuple(int(v) for v in self.size)
         if any(v < 0 for v in origin):
-            raise ValueError(f"origin must be non-negative, got {origin}")
+            raise ValidationError(f"origin must be non-negative, got {origin}")
         if any(v <= 0 for v in size):
-            raise ValueError(f"size must be positive, got {size}")
+            raise ValidationError(f"size must be positive, got {size}")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "size", size)
 
@@ -126,11 +128,10 @@ class CropRegion:
                      for o, s, d in zip(self.origin, self.size, dims))
 
     def validate_within(self, dims):
-        for o, s, d in zip(self.origin, self.size, dims):
-            if o + s > d:
-                raise ValueError(
-                    f"region origin={self.origin} size={self.size} "
-                    f"exceeds parent dims {tuple(dims)}")
+        if any(o + s > d for o, s, d in zip(self.origin, self.size, dims)):
+            raise ValidationError(
+                f"region origin={self.origin} size={self.size} "
+                f"exceeds parent dims {tuple(dims)}")
 
 
 def crop(v, r):
@@ -145,7 +146,7 @@ def paste(parent, patch, r):
     """Return a copy of ``parent`` with ``patch`` written into region ``r``."""
     r.validate_within(parent.dims)
     if patch.dims != r.size:
-        raise ValueError(f"patch dims {patch.dims} != region size {r.size}")
+        raise ValidationError(f"patch dims {patch.dims} != region size {r.size}")
     if isinstance(parent, SemanticLayout):
         labels = parent.labels.copy()
         labels[r.slices()] = patch.labels
@@ -166,7 +167,8 @@ def make_phantom(seed, dims):
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 16 for d in dims):
-        raise ValueError(f"phantom dims must be >= (16, 16, 16), got {dims}")
+        raise ValidationError(f"phantom dims must be >= (16, 16, 16), got {dims}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     nz, ny, nx = dims
     z, y, x = np.ogrid[:nz, :ny, :nx]

@@ -91,11 +91,19 @@ _BAD_PROBS = "class_probs must be finite, >= 0 and sum to 1"
     ("layout.max_diameter_mm", 0, _BAD_DIAMETER, []),
     ("layout.class_probs", [float("nan"), 0.5, 0.5], _BAD_PROBS, []),
     ("layout.class_probs", [-0.5, 1.0, 0.5], _BAD_PROBS, []),
+    ("layout.class_probs", 5, _BAD_PROBS, []),
+    ("layout.axis_ratio_range", [0.5, 0.7, 0.9], "bad axis_ratio_range", []),
+    ("layout.diameter_bounds_mm", [[1, 2, 3]], "diameter bounds must be", []),
+    ("layout.max_diameter_mm", "x", _BAD_DIAMETER, []),
+    ("solver.gamma", "x", _BAD_GAMMA, []),
+    ("predictor.var", "x", "var finite and positive", []),
 ], ids=["fractional_steps", "two_axis_patch", "fractional_patch",
         "two_axis_patch_count_0", "string_seed", "fractional_seed",
         "negative_seed", "bool_seed", "nan_gamma", "infinite_gamma",
         "negative_max_diameter", "nan_max_diameter", "zero_max_diameter",
-        "nan_class_prob", "negative_class_prob"])
+        "nan_class_prob", "negative_class_prob", "scalar_class_probs",
+        "three_axis_ratios", "three_value_diameter_bound",
+        "string_max_diameter", "string_gamma", "string_var"])
 def test_sample_rejects_malformed_config(workdir, capsys, key, value,
                                          message, extra):
     cfg = json.loads((workdir / "cfg.json").read_text())

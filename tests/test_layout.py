@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodulesynth.errors import PlacementError, SearchExhaustedError
+from nodulesynth.errors import (PlacementError, SearchExhaustedError,
+                               ValidationError)
 from nodulesynth.layout import (SIZE_CLASSES, EllipsoidSpec, LayoutConfig,
                                 _ellipsoid_box, _rotation_matrix,
                                 pick_healthy_crop, place_nodule,
@@ -44,6 +45,28 @@ def test_layout_config_validation():
 def test_layout_config_rejects_values_outside_finite_range(field, value):
     with pytest.raises(ValueError, match=f"{field} must be (None or )?finite"):
         LayoutConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("class_probs", 5), ("class_probs", (0.5, 0.5)), ("class_probs", "abc"),
+    ("axis_ratio_range", (0.5, 0.7, 0.9)), ("axis_ratio_range", ("a", "b")),
+    ("diameter_bounds_mm", ((1.0, 2.0, 3.0),)),
+    ("diameter_bounds_mm", ((1.0, 2.0), (3.0, 4.0), (5.0, "x"))),
+    ("max_diameter_mm", "x"), ("max_diameter_mm", True),
+])
+def test_layout_config_rejects_malformed_values(field, value):
+    with pytest.raises(ValidationError):
+        LayoutConfig(**{field: value})
+
+
+def test_layout_config_turns_lists_into_tuples():
+    cfg = LayoutConfig(class_probs=[0.2, 0.6, 0.2],
+                       diameter_bounds_mm=[[1, 6], [6, 16], [16, 50]],
+                       axis_ratio_range=[0.5, 1])
+    assert cfg.class_probs == (0.2, 0.6, 0.2)
+    assert cfg.diameter_bounds_mm == ((1, 6), (6, 16), (16, 50))
+    assert cfg.axis_ratio_range == (0.5, 1)
+    assert hash(cfg)
 
 
 def test_sample_spec_class_distribution(rng):

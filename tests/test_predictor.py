@@ -1,3 +1,4 @@
+import struct
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from nodulesynth import spare
-from nodulesynth.errors import FormatError
+from nodulesynth.errors import FormatError, ValidationError
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (HALO, Adam, AnalyticGaussianPredictor,
                                    TinyConvPredictor, _blas_product,
@@ -63,6 +64,14 @@ def test_eval_count_increments(cosine1000, rng):
 def test_analytic_predictor_validation(cosine1000):
     with pytest.raises(ValueError):
         AnalyticGaussianPredictor(0.0, 0.0, cosine1000)
+
+
+@pytest.mark.parametrize("mu,var", [("x", 1.0), (float("nan"), 1.0),
+                                    (0.0, "x"), (0.0, float("inf")),
+                                    (0.0, None)])
+def test_analytic_predictor_rejects_malformed_moments(cosine1000, mu, var):
+    with pytest.raises(ValidationError, match="mu must be finite"):
+        AnalyticGaussianPredictor(mu, var, cosine1000)
 
 
 # -- conv machinery ----------------------------------------------------------
@@ -578,6 +587,35 @@ def test_train_deterministic(cosine100, rng, small_layout):
     assert len(losses[0]) == 3
 
 
+@pytest.mark.parametrize("arg,value,message", [
+    ("epochs", 1.7, "epochs must be an integer"),
+    ("epochs", True, "epochs must be an integer"),
+    ("epochs", -1, "epochs must be an integer"),
+    ("lr", "x", "lr must be a positive real"),
+    ("lr", True, "lr must be a positive real"),
+    ("lr", 0, "lr must be a positive real"),
+    ("lr", float("nan"), "lr must be a positive real"),
+    ("seed", -1, "seed must be a non-negative integer"),
+    ("seed", 1.5, "seed must be a non-negative integer"),
+])
+def test_train_rejects_malformed_arguments(cosine100, rng, small_layout, arg,
+                                           value, message):
+    p = TinyConvPredictor(seed=5)
+    before = p.get_flat().copy()
+    x0 = VoxelVolume(rng.standard_normal((8, 8, 8)))
+    with pytest.raises(ValidationError, match=message):
+        train(p, [(x0, small_layout)], cosine100,
+              **{"epochs": 1, "lr": 1e-3, "seed": 0, arg: value})
+    np.testing.assert_array_equal(p.get_flat(), before)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+def test_conv_predictor_rejects_malformed_seed(seed):
+    with pytest.raises(ValidationError,
+                       match="seed must be a non-negative integer"):
+        TinyConvPredictor(seed=seed)
+
+
 def test_train_step_updates_params(cosine100, rng, small_layout):
     p = TinyConvPredictor(seed=5)
     before = p.get_flat().copy()
@@ -610,6 +648,14 @@ def test_checkpoint_format_errors(tmp_path):
     TinyConvPredictor(seed=0).save(p)
     p.write_bytes(p.read_bytes()[:-4])
     with pytest.raises(FormatError, match="payload"):
+        TinyConvPredictor.load(p)
+
+
+@pytest.mark.parametrize("count", [2, 3000])
+def test_checkpoint_with_another_parameter_count(tmp_path, count):
+    p = tmp_path / "w.ldpw"
+    p.write_bytes(struct.pack("<4sII", b"LDPW", 1, count) + bytes(4 * count))
+    with pytest.raises(FormatError, match=f"holds {count} parameters"):
         TinyConvPredictor.load(p)
 
 

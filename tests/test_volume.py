@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodulesynth.errors import FormatError
+from nodulesynth.errors import FormatError, ValidationError
 from nodulesynth.volume import (LUNG, CropRegion, SemanticLayout, VoxelVolume,
                                 crop, make_phantom, paste, read_layout,
                                 read_volume, write_layout, write_volume)
@@ -27,6 +27,14 @@ def test_volume_validation():
         VoxelVolume(np.full((2, 2, 2), np.nan))
     with pytest.raises(ValueError):
         VoxelVolume(np.zeros((2, 2, 2)), spacing=(1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("spacing", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0)])
+def test_spacing_must_be_finite(spacing):
+    with pytest.raises(ValidationError, match="spacing must be 3 positive"):
+        VoxelVolume(np.zeros((2, 2, 2)), spacing)
+    with pytest.raises(ValidationError, match="spacing must be 3 positive"):
+        SemanticLayout(np.zeros((2, 2, 2), np.uint8), spacing)
 
 
 def test_layout_validation():
