@@ -28,7 +28,7 @@ from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
 from .schedule import check_seed, is_int
 from .solver import (BoxNoise, SolverConfig, eval_region, expected_nfe,
-                     pulmonary_solve)
+                     pulmonary_solve, start_time)
 from .spare import counted_request
 from .volume import (NODULE, CropRegion, SemanticLayout, VoxelVolume, crop,
                      paste)
@@ -63,6 +63,7 @@ class EaasRequest:
             raise ValidationError(
                 f"patch size {self.patch_size} exceeds reference dims "
                 f"{self.reference.dims}")
+        start_time(self.schedule, self.solver)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,9 @@ def run_eaas(req):
             m = place_nodule(spec, lung_patch, req.reference.spacing, rng)
             break
         except PlacementError as err:
-            last_err = err
+            # Only the message: the traceback holds this frame, a cycle
+            # that would keep the request's arrays until a full gc.
+            last_err = str(err)
     if m is None:
         raise PlacementError(
             f"no placeable nodule spec after {_PLACEMENT_RETRIES} resamples: "
@@ -139,7 +142,7 @@ def run_eaas(req):
     m_box = replace(crop(m, evaluated), cut=evaluated.cut_faces(m.dims))
     ref_box = crop(req.reference, placed)
     noise = BoxNoise(rng, m.dims, evaluated)
-    t_start = s.T if cfg.t_start is None else int(cfg.t_start)
+    t_start = start_time(s, cfg)
     eps = VoxelVolume(noise.standard_normal(evaluated.size), ref_box.spacing)
     carrier = invert_reference(ref_box, t_start, eps, s)
     x_init = masked_mix(carrier, VoxelVolume(

@@ -109,7 +109,9 @@ _BLOCK = 8192  # flat voxels per block: a block's 27 taps stay in L2 cache
 
 def _fresh(slot, shape, zero=False):
     """The allocator of inference: a new zeroed array on every call, so
-    the ``run_batch`` threads that share a predictor share no buffer."""
+    the ``run_batch`` threads that share a predictor share no buffer.
+    It keeps no reference: an array is freed once its last user drops
+    it, which ``TinyConvPredictor._forward`` does layer by layer."""
     return np.zeros(shape)
 
 
@@ -173,30 +175,38 @@ def _taps(padded):
 def _correlate(layout, w, product, alloc, slot):
     """"Valid" 3^3 correlation of a flat layout with w (Cout, Cin, 3, 3, 3):
     the output is the padded dims less 2 per axis, that is the input's
-    dims less one voxel per cut face.  ``product(w_k, slice)`` multiplies
-    one tap's (Cout, Cin) matrix into a (Cin, L) slice.  Each voxel sums
-    its taps in (dz, dy, dx) order, starting from zero in a buffer from
+    dims less one voxel per cut face.  ``product(w_k, slice, out=tap)``
+    multiplies one tap's (Cout, Cin) matrix into a (Cin, L) slice,
+    writing the (Cout, L) result into ``tap``.  Each voxel sums its taps
+    in (dz, dy, dx) order, starting from zero in a buffer from
     ``alloc(slot, ...)``; the returned view of it drops the pad columns.
     The caller and, while a core is idle, one task on the spare worker
     (``spare.submit``) take blocks of ``_BLOCK`` columns from one
-    iterator; a layer of one block runs on the caller alone.  A block's
-    columns are written by one thread, with the same products summed in
-    the same tap order, so no byte depends on which thread ran it."""
+    iterator; a layer of one block runs on the caller alone.  Each
+    thread multiplies its taps into a contiguous scratch of its own,
+    allocated here by the caller, and adds it into the block, so no tap
+    allocates.  A block's columns are written by one thread, with the
+    same products summed in the same tap order, so no byte depends on
+    which thread ran it."""
     xf, (P1, P2, P3) = layout
     offsets, n = _taps((P1, P2, P3))
     wk = np.ascontiguousarray(w.reshape(*w.shape[:2], -1).transpose(2, 0, 1))
     out = alloc(slot, (w.shape[0], (P1 - 2) * P2 * P3), zero=True)
     blocks = iter(range(0, n, _BLOCK))  # next() holds the GIL throughout
 
-    def run():
+    def run(scratch):
         for lo in blocks:
             hi = min(lo + _BLOCK, n)
+            acc = out[:, lo:hi]
+            tap = scratch[:acc.size].reshape(acc.shape)
             for w_k, off in zip(wk, offsets):
-                out[:, lo:hi] += product(w_k, xf[:, lo + off:hi + off])
+                product(w_k, xf[:, lo + off:hi + off], out=tap)
+                np.add(acc, tap, out=acc)
 
-    task = submit(run) if n > _BLOCK else None
+    size = len(out) * min(n, _BLOCK)
+    task = submit(run, np.empty(size)) if n > _BLOCK else None
     try:
-        run()
+        run(np.empty(size))
     finally:
         settle(task)
     return out.reshape(-1, P1 - 2, P2, P3)[:, :, :P2 - 2, :P3 - 2]
@@ -205,10 +215,10 @@ def _correlate(layout, w, product, alloc, slot):
 _einsum_product = partial(np.einsum, "oi,il->ol")
 
 
-def _blas_product(a, b):
+def _blas_product(a, b, out=None):
     # A one-column product (one channel upstream) is an outer product,
     # which OpenBLAS runs ~5x slower than a broadcast multiply.
-    return a * b if a.shape[1] == 1 else a @ b
+    return (np.multiply if a.shape[1] == 1 else np.matmul)(a, b, out=out)
 
 
 def _conv3d(layout, w, b=None, *, product, alloc=_fresh, slot=None):
@@ -250,14 +260,17 @@ def _conv3d_grad_w(layout, glayout):
     return gw.transpose(1, 2, 0).reshape(len(g), len(xf), _K, _K, _K)
 
 
-def _silu_layout(z, cut, alloc=_fresh, slots=(None, None)):
+def _silu_layout(z, cut, alloc=_fresh, slots=(None, None), keep=False):
     """SiLU z * expit(z), written straight into the interior of the next
-    layer's flat layout; returns that layout and expit(z).  ``slots``
-    name the buffers of expit(z) and of the layout."""
-    s = expit(z, out=alloc(slots[0], z.shape))
+    layer's flat layout; returns that layout and, if ``keep`` (for the
+    backward's cache), expit(z) in a buffer of its own, else None.
+    Without ``keep``, expit(z) goes into the interior and is multiplied
+    by z there, so no other array is made.  ``slots`` name the buffers
+    of expit(z) and of the layout."""
     layout, interior = _layout(len(z), z.shape[1:], cut, alloc, slots[1])
+    s = expit(z, out=alloc(slots[0], z.shape) if keep else interior)
     np.multiply(z, s, out=interior)
-    return layout, s
+    return layout, s if keep else None
 
 
 def _silu_grad(z, s, alloc, slot):
@@ -328,30 +341,40 @@ class TinyConvPredictor(NoisePredictor):
             offset += size
 
     def _forward(self, x_t_data, mask_data, t, product, cut=NO_CUT,
-                 alloc=_fresh):
-        """Output and backward cache; ``_predict`` passes the einsum
-        ``product``, ``loss_and_grads`` the BLAS one (see ``_conv3d``)
-        and its workspace as ``alloc``.
+                 alloc=_fresh, cache=False):
+        """The network's output and, if ``cache``, the backward cache
+        (else None): each layer's flat input layout and each SiLU's
+        input and expit, in the order ``_backward`` unpacks them.
+        ``_predict`` passes the einsum ``product``, ``loss_and_grads``
+        the BLAS one (see ``_conv3d``), its workspace as ``alloc`` and
+        ``cache``.
 
-        Each layer drops one voxel per ``cut`` face, so the output is
-        ``HALO`` voxels smaller there.  Training passes no cut: the
-        "same" convolution."""
+        Without the cache each layout and conv output is dropped once
+        its last reader is done, so inference holds at most one layout,
+        one conv output and the tap scratch.  Each layer drops one voxel
+        per ``cut`` face, so the output is ``HALO`` voxels smaller
+        there.  Training passes no cut: the "same" convolution."""
         p = self.params
-        # The backward pass reuses each layer's flat input layout and
-        # each SiLU's expit from the cache.
-        fx, interior = _layout(2, x_t_data.shape, cut, alloc, "x")
+        kept = [] if cache else None
+        a, interior = _layout(2, x_t_data.shape, cut, alloc, "x")
         interior[0] = x_t_data
         interior[1] = mask_data
-        z1 = _conv3d(fx, p["w1"], p["b1"], product=product, alloc=alloc,
-                     slot="z1")
-        z1 += _time_embedding(t)[:, None, None, None]
-        fa1, s1 = _silu_layout(z1, cut, alloc, ("s1", "a1"))
-        z2 = _conv3d(fa1, p["w2"], p["b2"], product=product, alloc=alloc,
-                     slot="z2")
-        fa2, s2 = _silu_layout(z2, cut, alloc, ("s2", "a2"))
-        out = _conv3d(fa2, p["w3"], product=product, alloc=alloc, slot="out")
-        cache = (fx, z1, s1, fa1, z2, s2, fa2)
-        return out[0], cache
+        del interior
+        for k in (1, 2, 3):
+            z = _conv3d(a, p[f"w{k}"], p.get(f"b{k}"), product=product,
+                        alloc=alloc, slot=f"z{k}")
+            if cache:
+                kept.append(a)
+            del a  # its last reader is done
+            if k == 1:
+                z += _time_embedding(t)[:, None, None, None]
+            if k == 3:
+                return z[0], kept
+            a, s = _silu_layout(z, cut, alloc, (f"s{k}", f"a{k}"),
+                                keep=cache)
+            if cache:
+                kept += [z, s]
+            del z, s
 
     def _backward(self, g3, cache, alloc):
         """Gradients from gout's flat layout ``g3``.  Each buffer of the
@@ -376,16 +399,19 @@ class TinyConvPredictor(NoisePredictor):
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3}
 
     def _predict(self, x_t, t, c):
+        """The einsum forward without its backward cache; the zeroed
+        output is made after it, outside its peak."""
         if c is None:
             mask, cut = np.zeros(x_t.dims), NO_CUT
         else:
-            mask, cut = c.nodule_mask().astype(np.float64), c.cut
-        out = np.zeros(x_t.dims)
+            mask, cut = c.nodule_mask(), c.cut
         box = tuple(slice(HALO * lo, d - HALO * hi)
                     for d, (lo, hi) in zip(x_t.dims, cut))
-        if all(b.start < b.stop for b in box):
-            eps, _ = self._forward(x_t.data, mask, t, _einsum_product, cut)
-            out[box] = eps
+        if any(b.start >= b.stop for b in box):
+            return VoxelVolume(np.zeros(x_t.dims), x_t.spacing)
+        eps, _ = self._forward(x_t.data, mask, t, _einsum_product, cut)
+        out = np.zeros(x_t.dims)
+        out[box] = eps
         return VoxelVolume(out, x_t.spacing)
 
     def flops(self, dims, cut=NO_CUT):
@@ -417,7 +443,7 @@ class TinyConvPredictor(NoisePredictor):
         ws = self._workspaces[x0.dims]
         x_t = q_sample(x0, t, eps, s).x_t.data
         out, cache = self._forward(x_t, m.nodule_mask(), t, _blas_product,
-                                   alloc=ws)
+                                   alloc=ws, cache=True)
         # The residual is scaled in place into gout = 2 * resid / size.
         g3, gout = _layout(1, x0.dims, NO_CUT, ws, "g3")
         resid = np.subtract(out, eps.data, out=gout[0])

@@ -126,6 +126,18 @@ def grid_from_times(s, ts, terminal_table=True):
     return TimeGrid(ts, ab, sig, lam)
 
 
+def start_time(s, cfg):
+    """The step that ``cfg`` starts sampling from on schedule ``s``: its
+    ``t_start``, or ``s.T`` when that is None.  Raises ValidationError
+    unless it lies in [1, s.T] and ``cfg.steps`` does not exceed it."""
+    t_start = s.T if cfg.t_start is None else int(cfg.t_start)
+    if t_start < 1 or t_start > s.T:
+        raise ValidationError(f"t_start={t_start} outside [1, {s.T}]")
+    if cfg.steps > t_start:
+        raise ValidationError(f"steps={cfg.steps} exceeds t_start={t_start}")
+    return t_start
+
+
 def make_time_grid(s, cfg):
     """Discrete sampling grid, approximately uniform in half-log-SNR.
 
@@ -137,12 +149,7 @@ def make_time_grid(s, cfg):
     Collisions are resolved to keep the grid strictly decreasing with
     exactly steps + 1 nodes.
     """
-    t_start = s.T if cfg.t_start is None else int(cfg.t_start)
-    if t_start < 1 or t_start > s.T:
-        raise ValidationError(f"t_start={t_start} outside [1, {s.T}]")
-    if cfg.steps > t_start:
-        raise ValidationError(f"steps={cfg.steps} exceeds t_start={t_start}")
-
+    t_start = start_time(s, cfg)
     if cfg.steps == 1:
         ts = [t_start, 0]
     elif cfg.steps == t_start:

@@ -97,13 +97,17 @@ _BAD_PROBS = "class_probs must be finite, >= 0 and sum to 1"
     ("layout.max_diameter_mm", "x", _BAD_DIAMETER, []),
     ("solver.gamma", "x", _BAD_GAMMA, []),
     ("predictor.var", "x", "var finite and positive", []),
+    ("solver.t_start", 5000, "t_start=5000 outside [1, 100]", []),
+    ("solver.t_start", 0, "t_start=0 outside [1, 100]", []),
+    ("solver.t_start", 5, "steps=10 exceeds t_start=5", []),
 ], ids=["fractional_steps", "two_axis_patch", "fractional_patch",
         "two_axis_patch_count_0", "string_seed", "fractional_seed",
         "negative_seed", "bool_seed", "nan_gamma", "infinite_gamma",
         "negative_max_diameter", "nan_max_diameter", "zero_max_diameter",
         "nan_class_prob", "negative_class_prob", "scalar_class_probs",
         "three_axis_ratios", "three_value_diameter_bound",
-        "string_max_diameter", "string_gamma", "string_var"])
+        "string_max_diameter", "string_gamma", "string_var",
+        "t_start_above_T", "zero_t_start", "steps_above_t_start"])
 def test_sample_rejects_malformed_config(workdir, capsys, key, value,
                                          message, extra):
     cfg = json.loads((workdir / "cfg.json").read_text())

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodulesynth import eaas
 from nodulesynth.bench import _traced_peak
 from nodulesynth.eaas import (BatchItem, EaasRequest, run_batch, run_eaas,
                               write_provenance)
-from nodulesynth.errors import NoduleSynthError
+from nodulesynth.errors import (NoduleSynthError, PlacementError,
+                                ValidationError)
 from nodulesynth.layout import LayoutConfig
 from nodulesynth.predictor import (AnalyticGaussianPredictor, NoisePredictor,
                                    TinyConvPredictor, train_step)
@@ -55,6 +58,24 @@ def test_request_rejects_malformed_patch_size(phantom, cosine1000,
 def test_request_rejects_malformed_seed(phantom, cosine1000, seed):
     with pytest.raises(ValueError, match="seed must be a non-negative"):
         _request(phantom, cosine1000, seed=seed)
+
+
+# Checked when the request is built, before any sampling: the same
+# check make_time_grid makes inside every request.
+@pytest.mark.parametrize("steps,t_start,message", [
+    (10, 5000, r"t_start=5000 outside \[1, 1000\]"),
+    (10, 0, r"t_start=0 outside \[1, 1000\]"),
+    (10, 5, "steps=10 exceeds t_start=5"),
+    (1001, None, "steps=1001 exceeds t_start=1000"),
+])
+def test_request_rejects_t_start_outside_the_schedule(phantom, cosine1000,
+                                                      steps, t_start,
+                                                      message):
+    with pytest.raises(ValidationError, match=message):
+        _request(phantom, cosine1000,
+                 solver=SolverConfig(steps=steps, t_start=t_start))
+    _request(phantom, cosine1000,
+             solver=SolverConfig(steps=min(steps, 1000), t_start=1000))
 
 
 def test_request_takes_numpy_integer_seed(phantom, cosine1000):
@@ -134,6 +155,30 @@ def test_run_batch_records_planted_sign_flip(phantom, cosine1000,
     assert items[0].error == ("NoduleSynthError: voxels outside the nodule "
                               "mask were modified")
     assert items[1].error is None and items[1].result is not None
+
+
+def test_placement_retries_leave_no_reference_cycle(phantom, cosine1000,
+                                                    monkeypatch):
+    # A request whose first placements fail is freed as soon as it is
+    # dropped, not at the next full garbage collection.
+    place, failures = eaas.place_nodule, []
+
+    def flaky(*args):
+        if len(failures) < 2:
+            failures.append(1)
+            raise PlacementError("planted placement failure")
+        return place(*args)
+
+    monkeypatch.setattr(eaas, "place_nodule", flaky)
+    req = _request(phantom, cosine1000)
+    gc.collect()
+    gc.disable()
+    try:
+        run_eaas(req)
+        assert len(failures) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_eaas_deterministic(phantom, cosine1000):

@@ -1,3 +1,4 @@
+import math
 import struct
 import sys
 import threading
@@ -14,7 +15,8 @@ from scipy import ndimage
 from nodulesynth import spare
 from nodulesynth.errors import FormatError, ValidationError
 from nodulesynth.forward import q_sample
-from nodulesynth.predictor import (HALO, Adam, AnalyticGaussianPredictor,
+from nodulesynth.predictor import (_BLOCK, HALO, Adam,
+                                   AnalyticGaussianPredictor,
                                    TinyConvPredictor, _blas_product,
                                    _conv3d, _conv3d_grad_w, _conv3d_grad_x,
                                    _einsum_product, _flat_layout,
@@ -245,6 +247,80 @@ def test_shrunk_conv_stack_matches_same_stack_interior(chans, cut, data,
     assert shrunk.shape == want.shape
     assert np.array_equal(np.ascontiguousarray(shrunk).view(np.uint64),
                           want.view(np.uint64))
+
+
+def _temporary_per_tap_conv3d(layout, w, b, product):
+    """_conv3d with each tap's product made in a fresh temporary and
+    then added into the output, block by block in tap order."""
+    xf, (P1, P2, P3) = layout
+    taps = list(np.ndindex(3, 3, 3))
+    n = (P1 - 3) * P2 * P3 + (P2 - 3) * P3 + P3 - 2
+    out = np.zeros((len(w), (P1 - 2) * P2 * P3))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        for dz, dy, dx in taps:
+            off = (dz * P2 + dy) * P3 + dx
+            w_k = np.ascontiguousarray(w[:, :, dz, dy, dx])
+            out[:, lo:hi] += product(w_k, xf[:, lo + off:hi + off])
+    out = out.reshape(-1, P1 - 2, P2, P3)[:, :, :P2 - 2, :P3 - 2]
+    if b is not None:
+        out += b[:, None, None, None]
+    return out
+
+
+# 22 voxels per axis pad to more than one block even with every face
+# cut; 30 to four.
+@settings(max_examples=50, deadline=None)
+@given(cin=channels_st, cout=channels_st,
+       dims=st.tuples(*[st.integers(22, 30)] * 3), cut=cut_st,
+       bias=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(cin=8, cout=8, dims=(30, 30, 30), cut=((True, True),) * 3,
+         bias=True, seed=0)
+@example(cin=1, cout=2, dims=(22, 22, 22), cut=((False, False),) * 3,
+         bias=False, seed=1)
+def test_tap_scratch_matches_a_temporary_per_tap(cin, cout, dims, cut, bias,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((cin,) + dims)
+    w = rng.standard_normal((cout, cin, 3, 3, 3))
+    b = rng.standard_normal(cout) if bias else None
+    layout = _flat_layout(x, cut)
+    cores = spare._CORES
+    try:
+        for product in (_einsum_product, _blas_product):
+            want = _temporary_per_tap_conv3d(layout, w, b, product)
+            for n_cores in (1, 64):
+                spare._CORES = n_cores  # the worker off, then on
+                got = _conv3d(layout, w, b, product=product)
+                assert got.shape == want.shape
+                assert (np.ascontiguousarray(got).tobytes()
+                        == np.ascontiguousarray(want).tobytes())
+    finally:
+        spare._CORES = cores
+
+
+@pytest.mark.parametrize("cores", [1, 64])
+def test_predict_peak_is_a_few_layers(monkeypatch, cores):
+    # Inference keeps no backward cache: at a 40^3 box cut on every
+    # face, one predict holds at most one layout, one conv output and
+    # the tap scratch, ~1.9 of one 8-channel 40^3 array (5.5 with the
+    # cache; 2.4 if each layer's input layout outlives its conv).
+    monkeypatch.setattr(spare, "_CORES", cores)
+    rng = np.random.default_rng(11)
+    dims = (40, 40, 40)
+    x = VoxelVolume(rng.standard_normal(dims))
+    c = SemanticLayout(rng.integers(0, 3, dims).astype(np.uint8),
+                       cut=((True, True),) * 3)
+    p = TinyConvPredictor(seed=0)
+    p.predict(x, 500, c)
+    tracemalloc.start()
+    try:
+        p.predict(x, 500, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_array = 8 * math.prod(dims) * 8  # 8 float64 channels
+    assert peak <= 2.25 * one_array
 
 
 @settings(max_examples=15, deadline=None)
@@ -479,14 +555,14 @@ def _slow_product(fail_on=None, after=0):
     caller = threading.get_ident()
     calls = []
 
-    def product(a, b):
+    def product(a, b, out=None):
         worker = threading.get_ident() != caller
         calls.append(worker)
         side = "worker" if worker else "caller"
         if fail_on == side and calls.count(worker) > after:
             raise RuntimeError(f"planted failure on the {fail_on}")
         time.sleep(0.001)
-        return _einsum_product(a, b)
+        return _einsum_product(a, b, out=out)
 
     return product, calls
 
