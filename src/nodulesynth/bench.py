@@ -17,6 +17,7 @@ import numpy as np
 from .eaas import run_eaas
 from .errors import NoduleSynthError, ValidationError
 from .predictor import TinyConvPredictor
+from .schedule import is_int
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,12 @@ def run_bench(name, request, n_trials=10, warmup=1):
     ``ValidationError`` included) is skipped, and the report needs one
     success.  Any other exception is a bug and propagates.
     """
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    if warmup < 0:
-        raise ValidationError(f"warmup must be >= 0, got {warmup}")
+    if not is_int(n_trials) or n_trials < 1:
+        raise ValidationError(
+            f"n_trials must be an integer >= 1, got {n_trials!r}")
+    if not is_int(warmup) or warmup < 0:
+        raise ValidationError(
+            f"warmup must be an integer >= 0, got {warmup!r}")
 
     def seeded(k):
         return replace(request, seed=request.seed + k)

@@ -10,9 +10,11 @@ is diffused up to the start level, and fresh noise is spliced in under
 the nodule mask.  The solver samples exactly that box down to clean
 data, and the box is pasted once into a copy of the reference at its
 exact coordinates.  Every noise draw is still made at full-patch shape,
-into one reused buffer, so the bytes equal sampling the whole patch.
-Every result is checked for fusion locality before it is returned.  The
-emitted (volume, layout) pair is self-labeling by construction.
+into one reused buffer, so the bytes equal sampling the whole patch:
+one :class:`BoxNoise` per request makes them all, one ahead on the
+spare-core worker while a core is idle.  Every result is checked for
+fusion locality before it is returned.  The emitted (volume, layout)
+pair is self-labeling by construction.
 """
 
 import json
@@ -27,9 +29,10 @@ from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
 from .schedule import check_seed, is_int
-from .solver import (BoxNoise, SolverConfig, eval_region, expected_nfe,
-                     pulmonary_solve, start_time)
-from .spare import counted_request
+from .solver import (SolverConfig, eval_region, expected_nfe,
+                     make_time_grid, noise_draws, pulmonary_solve,
+                     start_time)
+from .spare import counted_request, settle, submit
 from .volume import (NODULE, CropRegion, SemanticLayout, VoxelVolume, crop,
                      paste)
 
@@ -104,10 +107,64 @@ def _verify_fusion_locality(result, reference, blend_mode):
         raise NoduleSynthError("voxels outside the nodule mask were modified")
 
 
+class BoxNoise:
+    """Generator view for a request on one box of a patch: it makes the
+    ``count`` planned draws, each a full-patch ``rng.standard_normal``
+    into one reused buffer, of which a copy of ``region`` is returned.
+
+    The values are those of ``rng.standard_normal(dims)`` cut to the
+    box, and ``rng`` advances the same, without a fresh patch-sized
+    array per draw.  The draws run one ahead of the caller on the spare
+    worker when a core is idle (see :func:`nodulesynth.spare.submit`):
+    the next is submitted when the previous one is taken, so it overlaps
+    the work in between.  Without an idle core nothing is submitted and
+    each draw runs on the caller when it is needed, as does a submitted
+    draw the worker has not started (a busy worker, a forked child).
+    Either way they are the same calls on the same generator in the same
+    order, so every value matches bit for bit.  At most one draw is in
+    flight, so neither the generator nor the buffer is used by two
+    threads at once; :meth:`close` waits for it.
+    """
+
+    def __init__(self, rng, dims, region, count):
+        self._rng = rng
+        self._buf = np.empty(dims)
+        self._size = region.size
+        self._slices = region.slices()
+        self._left = count  # draws not yet taken, the one ahead included
+        self._ahead = submit(self._draw) if count else None
+
+    def _draw(self):
+        self._rng.standard_normal(out=self._buf)
+        return self._buf[self._slices].copy()
+
+    def standard_normal(self, size):
+        if tuple(size) != self._size:
+            raise ValidationError(
+                f"draw of shape {tuple(size)} != box size {self._size}")
+        if not self._left:
+            raise RuntimeError("noise draw beyond the request's noise plan")
+        self._left -= 1
+        ahead, self._ahead = self._ahead, None
+        if ahead is None or ahead.cancel():  # not started: draw here
+            draw = self._draw()
+        else:
+            draw = ahead.result()
+        self._ahead = submit(self._draw) if self._left else None
+        return draw
+
+    def close(self):
+        """Cancel the draw ahead if it has not started, else wait for it;
+        no draw follows."""
+        ahead, self._ahead = self._ahead, None
+        settle(ahead)
+        self._left = 0
+
+
 @counted_request()
 def run_eaas(req):
     """Execute one synthesis request; deterministic given the seed when
-    gamma = 0."""
+    gamma = 0.  When it returns or raises, no noise draw is in flight."""
     started = time.perf_counter()
     rng = np.random.default_rng(req.seed)
     s = req.schedule
@@ -141,14 +198,19 @@ def run_eaas(req):
                         evaluated.size)
     m_box = replace(crop(m, evaluated), cut=evaluated.cut_faces(m.dims))
     ref_box = crop(req.reference, placed)
-    noise = BoxNoise(rng, m.dims, evaluated)
-    t_start = start_time(s, cfg)
-    eps = VoxelVolume(noise.standard_normal(evaluated.size), ref_box.spacing)
-    carrier = invert_reference(ref_box, t_start, eps, s)
-    x_init = masked_mix(carrier, VoxelVolume(
-        noise.standard_normal(evaluated.size), ref_box.spacing), m_box)
-    box = pulmonary_solve(x_init, ref_box, m_box, req.predictor, cfg, noise,
-                          s)
+    # The initial state's two draws, then the solve's.
+    noise = BoxNoise(rng, m.dims, evaluated,
+                     2 + noise_draws(make_time_grid(s, cfg), cfg, s))
+    try:
+        eps = VoxelVolume(noise.standard_normal(evaluated.size),
+                          ref_box.spacing)
+        carrier = invert_reference(ref_box, start_time(s, cfg), eps, s)
+        x_init = masked_mix(carrier, VoxelVolume(
+            noise.standard_normal(evaluated.size), ref_box.spacing), m_box)
+        box = pulmonary_solve(x_init, ref_box, m_box, req.predictor, cfg,
+                              noise, s)
+    finally:
+        noise.close()
     del noise  # its patch buffer, freed before the output volume
 
     full_volume = paste(req.reference, box, placed)
@@ -195,8 +257,9 @@ def run_batch(requests, parallelism=1):
     bug and propagates.
     """
     requests = list(requests)
-    if parallelism < 1:
-        raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
+    if not is_int(parallelism) or parallelism < 1:
+        raise ValidationError(
+            f"parallelism must be an integer >= 1, got {parallelism!r}")
 
     def one(req):
         try:

@@ -72,7 +72,6 @@ class EllipsoidSpec:
     size_class: str
     semi_axes_mm: tuple  # (a, b, c), a is the largest
     rotation: tuple      # Euler angles (z, y, x) in radians
-    center: tuple = None  # voxel coordinates, assigned by placement
 
     @property
     def diameter_mm(self):
@@ -163,11 +162,7 @@ def place_nodule(spec, lung, spacing, rng, max_tries=100,
             continue
         labels = lung.labels.copy()
         labels[sl][inside] = NODULE
-        placed = SemanticLayout(labels, lung.spacing)
-        object.__setattr__(placed, "_placed_spec",
-                           EllipsoidSpec(spec.size_class, spec.semi_axes_mm,
-                                         spec.rotation, tuple(center)))
-        return placed
+        return SemanticLayout(labels, lung.spacing)
     raise PlacementError(
         f"no valid placement for {spec.diameter_mm:.1f} mm nodule "
         f"after {max_tries} tries")

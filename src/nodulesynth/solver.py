@@ -16,8 +16,9 @@ the predictor's output) and where it returns.
 ``pulmonary_solve`` runs either driver with mask conditioning and
 per-step background re-imposition so only nodule voxels are synthesized.
 It samples exactly what it is given: whole-patch inputs give the whole
-patch; inputs cut to the :func:`eval_region` box, with a
-:class:`BoxNoise` view of the generator, give that box.  Its blend works
+patch; inputs cut to the :func:`eval_region` box, with a generator view
+that draws each full-patch field and returns its box
+(:class:`~nodulesynth.eaas.BoxNoise`), give that box.  Its blend works
 on plain arrays too: the background is :func:`~nodulesynth.forward.diffuse`
 of the reference and the draw (the same bits as ``q_sample``), with the
 nodule voxels copied into it in place.
@@ -34,15 +35,11 @@ step (ancestral only), one for the hybrid perturbation (gamma > 0 and
 t_lo > 0.7 * T) and one for the background blend (``per_step`` only).
 The step that ends at t = 0 draws nothing: the ancestral step adds no
 noise there, the hybrid window is closed, and the background is the
-reference itself.  :func:`noise_draws` is that count.  The draws run
-one step ahead on the spare-core worker while a core is idle for it
-(:mod:`nodulesynth.spare`, before the predictor's conv blocks);
-otherwise each runs on the caller when the step needs it, with nothing
-submitted.  The values are the same either way.  A synthesis request
-(:func:`~nodulesynth.eaas.run_eaas`) makes 2 + :func:`noise_draws`
-full-patch draws in all: its own two for the initial state, then the
-solve's.  It routes every one through a :class:`BoxNoise` view, so they
-all land in one reused patch buffer, with at most one in flight.
+reference itself.  :func:`noise_draws` is that count.  The solver makes
+every draw on the calling thread, from the generator it is given.  A
+synthesis request (:func:`~nodulesynth.eaas.run_eaas`) plans its own
+two draws plus these, and its :class:`~nodulesynth.eaas.BoxNoise` makes
+them one ahead on the spare-core worker while a core is idle.
 """
 
 import math
@@ -55,7 +52,6 @@ from .errors import SolverError, ValidationError
 from .forward import diffuse, q_sample  # noqa: F401
 from .predictor import HALO
 from .schedule import is_finite_real, is_int
-from .spare import settle, submit
 from .volume import CropRegion, VoxelVolume
 
 _METHOD_ORDER = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
@@ -406,81 +402,6 @@ def noise_draws(grid, cfg, s):
     return count
 
 
-class _DrawAhead:
-    """Generator view that makes the ``count`` planned draws of shape
-    ``dims``.
-
-    The draws run one ahead of the caller on the spare worker when a
-    core is idle (see :func:`nodulesynth.spare.submit`): the next is
-    submitted when the previous one is taken, so it overlaps the
-    predictor evaluations in between.  Without an idle core nothing is
-    submitted and each draw runs on the caller when it is needed, as
-    does a submitted draw the worker has not started (a busy worker, a
-    forked child).  Either way they are the same calls on the same
-    generator in the same order, so every value matches bit for bit.  At
-    most one draw is in flight, so the generator is never used by two
-    threads at once; :meth:`close` waits for it.
-    """
-
-    def __init__(self, rng, dims, count):
-        self._rng = rng
-        self._dims = dims
-        self._left = count  # draws not yet taken, the one ahead included
-        self._ahead = None
-        self._draw_ahead()
-
-    def _draw_ahead(self):
-        if self._left:
-            self._ahead = submit(self._rng.standard_normal, self._dims)
-
-    def standard_normal(self, size):
-        if tuple(size) != self._dims:
-            raise ValidationError(
-                f"draw of shape {tuple(size)} != planned {self._dims}")
-        if not self._left:
-            raise RuntimeError("noise draw beyond the solver's noise plan")
-        self._left -= 1
-        ahead, self._ahead = self._ahead, None
-        if ahead is None or ahead.cancel():  # not started: draw here
-            draw = self._rng.standard_normal(self._dims)
-        else:
-            draw = ahead.result()
-        self._draw_ahead()
-        return draw
-
-    def close(self):
-        """Cancel the draw ahead if it has not started, else wait for it;
-        no draw follows."""
-        ahead, self._ahead = self._ahead, None
-        settle(ahead)
-        self._left = 0
-
-
-class BoxNoise:
-    """Generator view for a solve on one box of a patch: each draw is a
-    full-patch ``rng.standard_normal`` into one reused buffer, of which
-    a copy of ``region`` is returned.
-
-    The values are those of ``rng.standard_normal(dims)`` cut to the
-    box, and ``rng`` advances the same, without a fresh patch-sized
-    array per draw.  Calls must not overlap; :class:`_DrawAhead` keeps
-    at most one in flight.
-    """
-
-    def __init__(self, rng, dims, region):
-        self._rng = rng
-        self._buf = np.empty(dims)
-        self._size = region.size
-        self._slices = region.slices()
-
-    def standard_normal(self, size):
-        if tuple(size) != self._size:
-            raise ValidationError(
-                f"draw of shape {tuple(size)} != box size {self._size}")
-        self._rng.standard_normal(out=self._buf)
-        return self._buf[self._slices].copy()
-
-
 def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     """Mask-conditioned reverse sampling with background re-imposition.
 
@@ -493,12 +414,12 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     Samples exactly the arrays it is given and returns the clean volume
     at their dims.  Whole-patch inputs give the whole patch.  Inputs cut
     to the :func:`eval_region` box, with ``m.cut`` set to the box's
-    :meth:`CropRegion.cut_faces` in the patch and ``rng`` a
-    :class:`BoxNoise` for it, give that box, bit-identical to the same
-    box of the whole-patch result.  Draws run one ahead on the spare
-    worker while a core is idle.  When this returns or raises, no draw
-    is in flight and ``rng`` has advanced by at most :func:`noise_draws`
-    draws (exactly that many on return).
+    :meth:`CropRegion.cut_faces` in the patch and ``rng`` a view that
+    returns the box of each full-patch draw, give that box, bit-identical
+    to the same box of the whole-patch result.  Every draw is a
+    ``rng.standard_normal`` call on the calling thread: exactly
+    :func:`noise_draws` of them on return, at most that many if it
+    raises.
     """
     if x_ref.dims != x_init.x_t.dims or m.dims != x_ref.dims:
         raise ValidationError(
@@ -518,16 +439,12 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
             if t_lo == 0:
                 bg = ref.copy()
             else:
-                bg = diffuse(ref, t_lo, noise.standard_normal(ref.shape), s)
+                bg = diffuse(ref, t_lo, rng.standard_normal(ref.shape), s)
             np.copyto(bg, x_data, where=nodule)
             return bg
 
-    noise = _DrawAhead(rng, x_ref.dims, noise_draws(grid, cfg, s))
-    try:
-        if cfg.method == "ancestral":
-            return ancestral_solve(x_init.x_t, grid, p, m, s, noise,
-                                   cfg.gamma, blend)
-        return dpm_solve(x_init.x_t, grid, _METHOD_ORDER[cfg.method], p, m,
-                         s, rng=noise, gamma=cfg.gamma, blend=blend)
-    finally:
-        noise.close()
+    if cfg.method == "ancestral":
+        return ancestral_solve(x_init.x_t, grid, p, m, s, rng, cfg.gamma,
+                               blend)
+    return dpm_solve(x_init.x_t, grid, _METHOD_ORDER[cfg.method], p, m, s,
+                     rng=rng, gamma=cfg.gamma, blend=blend)

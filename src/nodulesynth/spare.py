@@ -1,8 +1,9 @@
-"""The spare-core worker and its gate, shared by the solver's noise draws
-(submitted first, one step ahead) and the conv net's blocks (submitted
-per layer, so they queue behind the draw).  A task is work its caller
-would do anyway: one not started when needed is cancelled and done on
-the caller, so a busy worker costs time but never changes a result.
+"""The spare-core worker and its gate, shared by a request's noise draws
+(:class:`~nodulesynth.eaas.BoxNoise`, submitted first, one draw ahead)
+and the conv net's blocks (submitted per layer, so they queue behind
+the draw).  A task is work its caller would do anyway: one not started
+when needed is cancelled and done on the caller, so a busy worker costs
+time but never changes a result.
 """
 
 import os

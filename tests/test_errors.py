@@ -12,7 +12,8 @@ import pytest
 import nodulesynth
 from nodulesynth.bench import run_bench
 from nodulesynth.eaas import EaasRequest, run_batch
-from nodulesynth.errors import NoduleSynthError, SolverError
+from nodulesynth.errors import (NoduleSynthError, SolverError,
+                                ValidationError)
 from nodulesynth.predictor import TinyConvPredictor
 from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import SolverConfig
@@ -100,6 +101,22 @@ def test_run_bench_skips_a_library_error(phantom, plant):
     report = run_bench("planted", _request(phantom, _Planted(plant, fail=1)),
                        n_trials=2, warmup=0)
     assert report.trials == 1
+
+
+@pytest.mark.parametrize("parallelism", [2.5, "2", None, True])
+def test_run_batch_rejects_a_non_integer_parallelism(phantom, parallelism):
+    requests = [_request(phantom, TinyConvPredictor(seed=0))]
+    with pytest.raises(ValidationError, match="parallelism"):
+        run_batch(requests, parallelism=parallelism)
+
+
+@pytest.mark.parametrize("n_trials,warmup",
+                         [(1.5, 0), ("2", 0), (None, 0), (1, 0.5), (1, "1"),
+                          (1, None)])
+def test_run_bench_rejects_a_non_integer_count(phantom, n_trials, warmup):
+    request = _request(phantom, TinyConvPredictor(seed=0))
+    with pytest.raises(ValidationError, match="n_trials|warmup"):
+        run_bench("bad", request, n_trials=n_trials, warmup=warmup)
 
 
 def _names(node):

@@ -159,7 +159,6 @@ def test_place_nodule_overlap_invariant(rng):
     assert on_lung / mask.sum() >= 0.9
     # Placement only promotes labels within the mask.
     np.testing.assert_array_equal(placed.labels[~mask], labels[~mask])
-    assert placed._placed_spec.center is not None
 
 
 def test_place_nodule_no_lung_raises(rng):
@@ -221,7 +220,7 @@ def test_ellipsoid_box_matches_meshgrid_oracle(a, ratios, rotation, dims,
 def _full_mask_place(spec, lung, spacing, rng, max_tries):
     """Reference placement: each try rasterizes the ellipsoid into a
     mask of the whole layout, counts the overlap and writes the nodule
-    over the whole layout.  Returns (labels, center)."""
+    over the whole layout.  Returns the labels."""
     lung_idx = np.argwhere(lung.labels == LUNG)
     if len(lung_idx) == 0:
         raise PlacementError("layout contains no lung-labeled voxels")
@@ -235,7 +234,7 @@ def _full_mask_place(spec, lung, spacing, rng, max_tries):
             continue
         labels = lung.labels.copy()
         labels[mask] = NODULE
-        return labels, tuple(center)
+        return labels
     raise PlacementError(
         f"no valid placement for {spec.diameter_mm:.1f} mm nodule "
         f"after {max_tries} tries")
@@ -283,8 +282,7 @@ def test_place_nodule_matches_full_mask_oracle(phantom_lung, seed, size_class,
     if isinstance(want, str):
         assert got == want
     else:
-        assert np.array_equal(got.labels, want[0])
-        assert got._placed_spec.center == want[1]
+        assert np.array_equal(got.labels, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

@@ -1,10 +1,13 @@
-"""The solver's full-patch noise draws follow an exact plan.
+"""A request's full-patch noise draws follow an exact plan.
 
-``pulmonary_solve`` draws its noise one step ahead on a worker thread
-while a core is idle, else on demand.  These tests pin the plan
-(``noise_draws``), check that a solve consumes exactly that many
-full-patch draws from the caller's generator either way, and that no
-draw is left running when a solve or a whole request raises.
+``pulmonary_solve`` makes ``noise_draws`` standard-normal draws on the
+calling thread, from the generator it is given.  ``run_eaas`` plans its
+own two draws plus the solve's, and its ``BoxNoise`` makes them one
+ahead on a worker thread while a core is idle, else on demand.  These
+tests pin the plan, check that a solve fed by a ``BoxNoise`` consumes
+exactly that many full-patch draws from the generator either way, that
+the solve itself starts no thread, that no draw is left running when a
+request raises, and that drawing ahead changes no output byte.
 """
 
 import threading
@@ -13,41 +16,53 @@ import time
 import numpy as np
 import pytest
 
-from nodulesynth import spare
-from nodulesynth.eaas import EaasRequest, run_eaas
+from nodulesynth import eaas, spare
+from nodulesynth.eaas import BoxNoise, EaasRequest, run_eaas
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import AnalyticGaussianPredictor
 from nodulesynth.schedule import make_schedule
-from nodulesynth.solver import (SolverConfig, _DrawAhead, make_time_grid,
-                                noise_draws, pulmonary_solve)
+from nodulesynth.solver import (SolverConfig, make_time_grid, noise_draws,
+                                pulmonary_solve)
 from nodulesynth.spare import counted_request
-from nodulesynth.volume import (NODULE, SemanticLayout, VoxelVolume,
-                                make_phantom)
+from nodulesynth.volume import (NODULE, CropRegion, SemanticLayout,
+                                VoxelVolume, make_phantom)
 
 T = 100
 DIMS = (10, 9, 8)
+WHOLE = CropRegion((0, 0, 0), DIMS)
 
 
-class _CountingDraws:
-    """Generator stand-in that counts its full-patch draws, records how
-    many run at once and can make each draw slow."""
+class _SlowDraws:
+    """A generator whose ``standard_normal`` calls are counted with their
+    shape and thread, and can be slow or fail at a given call; how many
+    run at once is recorded.  Everything else is the wrapped
+    generator's."""
 
-    def __init__(self, seed, delay=0.0):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, rng, delay=0.0, fail_at=None):
+        self.rng = rng
         self.delay = delay
+        self.fail_at = fail_at
         self.shapes = []
+        self.threads = []
         self.running = 0
         self.max_running = 0
         self._lock = threading.Lock()
 
-    def standard_normal(self, size):
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size=None, out=None):
         with self._lock:
+            self.shapes.append(tuple(size) if out is None else out.shape)
+            self.threads.append(threading.current_thread())
+            call = len(self.shapes)
             self.running += 1
             self.max_running = max(self.max_running, self.running)
         try:
             time.sleep(self.delay)
-            self.shapes.append(tuple(size))
-            return self.rng.standard_normal(size)
+            if call == self.fail_at:
+                raise RuntimeError("planted draw failure")
+            return self.rng.standard_normal(size, out=out)
         finally:
             with self._lock:
                 self.running -= 1
@@ -89,13 +104,31 @@ def test_solve_consumes_exactly_the_plan(method, blend_mode, gamma, steps,
     m, x_ref, data_rng = _problem(3)
     x_init = q_sample(x_ref, t_start,
                       VoxelVolume(data_rng.standard_normal(DIMS)), s)
-    rng = _CountingDraws(11)
-    pulmonary_solve(x_init, x_ref, m, AnalyticGaussianPredictor(0.0, 1.0, s),
-                    cfg, rng, s)
     plan = noise_draws(make_time_grid(s, cfg), cfg, s)
+    rng = _SlowDraws(np.random.default_rng(11))
+    noise = BoxNoise(rng, DIMS, WHOLE, plan)
+    pulmonary_solve(x_init, x_ref, m, AnalyticGaussianPredictor(0.0, 1.0, s),
+                    cfg, noise, s)
+    with pytest.raises(RuntimeError, match="noise plan"):
+        noise.standard_normal(DIMS)  # the solve took every planned draw
     assert rng.shapes == [DIMS] * plan
     assert rng.max_running <= 1
     assert rng.rng.bit_generator.state == _advanced(11, plan)
+
+
+@pytest.mark.parametrize("method",
+                         ["dpm1", "dpm2_multistep", "dpm3", "ancestral"])
+def test_solve_draws_on_the_calling_thread(method):
+    s = make_schedule("cosine", T)
+    cfg = SolverConfig(method=method, steps=6, gamma=0.7, t_start=T)
+    m, x_ref, data_rng = _problem(3)
+    x_init = q_sample(x_ref, T, VoxelVolume(data_rng.standard_normal(DIMS)),
+                      s)
+    rng = _SlowDraws(np.random.default_rng(11))
+    pulmonary_solve(x_init, x_ref, m, AnalyticGaussianPredictor(0.0, 1.0, s),
+                    cfg, rng, s)
+    plan = noise_draws(make_time_grid(s, cfg), cfg, s)
+    assert rng.threads == [threading.current_thread()] * plan
 
 
 def test_plan_counts_each_draw():
@@ -113,14 +146,63 @@ def test_plan_counts_each_draw():
 
 
 def test_draw_beyond_plan_raises_at_once():
-    noise = _DrawAhead(np.random.default_rng(0), DIMS, 1)
-    with pytest.raises(ValueError, match="planned"):
+    noise = BoxNoise(np.random.default_rng(0), DIMS, WHOLE, 1)
+    with pytest.raises(ValueError, match="box size"):
         noise.standard_normal((2, 3, 4))
     assert noise.standard_normal(DIMS).shape == DIMS
     with pytest.raises(RuntimeError, match="noise plan"):
         noise.standard_normal(DIMS)
     with pytest.raises(RuntimeError, match="noise plan"):
-        _DrawAhead(np.random.default_rng(0), DIMS, 0).standard_normal(DIMS)
+        BoxNoise(np.random.default_rng(0), DIMS, WHOLE,
+                 0).standard_normal(DIMS)
+
+
+def _request(predictor, s, cfg):
+    vol, lay = make_phantom(11, (32, 32, 32))
+    return EaasRequest(reference=vol, lung_layout=lay, predictor=predictor,
+                       schedule=s, solver=cfg, patch_size=(16, 16, 16),
+                       seed=4)
+
+
+def _patch_default_rng(monkeypatch, **kwargs):
+    """Make every ``np.random.default_rng`` a :class:`_SlowDraws` with
+    ``kwargs``; returns the list they are appended to."""
+    made = []
+    real = np.random.default_rng
+
+    def default_rng(seed):
+        made.append(_SlowDraws(real(seed), **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
+def _raised(req):
+    """The messages of what ``run_eaas(req)`` raises, run on a thread
+    that must end within 30 s."""
+    raised = []
+
+    def request():
+        try:
+            run_eaas(req)
+        except RuntimeError as err:
+            raised.append(str(err))
+
+    thread = threading.Thread(target=request, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return raised
+
+
+def _assert_no_draw_follows(rng, calls):
+    assert len(rng.shapes) == calls and rng.running == 0
+    state = rng.rng.bit_generator.state
+    time.sleep(0.15)
+    assert len(rng.shapes) == calls
+    assert rng.rng.bit_generator.state == state
+    assert spare._requests == 0
 
 
 class _FailingPredictor(AnalyticGaussianPredictor):
@@ -131,88 +213,61 @@ class _FailingPredictor(AnalyticGaussianPredictor):
 
 
 @pytest.mark.parametrize("method", ["dpm2_multistep", "ancestral"])
-def test_raising_solve_leaves_no_draw_running(method, cores):
+def test_raising_solve_leaves_no_draw_running(method, cores, monkeypatch):
+    # The predictor fails inside the solve, with the next draw submitted
+    # ahead when a core is idle and slow enough to be running.
     s = make_schedule("cosine", T)
-    cfg = SolverConfig(method=method, steps=6, t_start=T)
-    m, x_ref, data_rng = _problem(5)
-    x_init = q_sample(x_ref, T, VoxelVolume(data_rng.standard_normal(DIMS)),
-                      s)
-    rng = _CountingDraws(2, delay=0.05)
-    with pytest.raises(RuntimeError, match="planted failure"):
-        pulmonary_solve(x_init, x_ref, m,
-                        _FailingPredictor(0.0, 1.0, s), cfg, rng, s)
-    assert rng.running == 0
-    state = rng.rng.bit_generator.state
-    time.sleep(0.15)
-    assert rng.rng.bit_generator.state == state
-    assert len(rng.shapes) <= noise_draws(make_time_grid(s, cfg), cfg, s)
-
-
-class _FailingThirdDraw:
-    """A generator whose third ``standard_normal`` call raises; every
-    call is slow and counted while it runs, and everything else is the
-    wrapped generator's."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.calls = 0
-        self.running = 0
-        self._lock = threading.Lock()
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-    def standard_normal(self, *args, **kwargs):
-        with self._lock:
-            self.calls += 1
-            call = self.calls
-            self.running += 1
-        try:
-            time.sleep(0.05)
-            if call == 3:
-                raise RuntimeError("planted draw failure")
-            return self.rng.standard_normal(*args, **kwargs)
-        finally:
-            with self._lock:
-                self.running -= 1
+    cfg = SolverConfig(method=method, steps=6)
+    req = _request(_FailingPredictor(0.0, 1.0, s), s, cfg)
+    made = _patch_default_rng(monkeypatch, delay=0.05)
+    assert _raised(req) == ["planted failure"]
+    (rng,) = made
+    calls = len(rng.shapes)
+    assert 2 < calls <= 2 + noise_draws(make_time_grid(s, cfg), cfg, s)
+    _assert_no_draw_follows(rng, calls)
 
 
 def test_failing_draw_in_request_leaves_no_draw_running(monkeypatch, cores):
     # The request's own two draws build its initial state; the third is
-    # the solve's first, drawn ahead on the worker when a core is idle.
+    # the solve's first.  All are drawn ahead on the worker when a core
+    # is idle.
     s = make_schedule("cosine", T)
-    vol, lay = make_phantom(11, (32, 32, 32))
-    made = []
-    real = np.random.default_rng
-
-    def default_rng(seed):
-        made.append(_FailingThirdDraw(real(seed)))
-        return made[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
-    req = EaasRequest(reference=vol, lung_layout=lay,
-                      predictor=AnalyticGaussianPredictor(0.0, 1.0, s),
-                      schedule=s, solver=SolverConfig(steps=6),
-                      patch_size=(16, 16, 16), seed=4)
-    raised = []
-
-    def request():
-        try:
-            run_eaas(req)
-        except RuntimeError as err:
-            raised.append(err)
-
-    thread = threading.Thread(target=request, daemon=True)
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert [str(err) for err in raised] == ["planted draw failure"]
+    req = _request(AnalyticGaussianPredictor(0.0, 1.0, s), s,
+                   SolverConfig(steps=6))
+    made = _patch_default_rng(monkeypatch, delay=0.05, fail_at=3)
+    assert _raised(req) == ["planted draw failure"]
     (rng,) = made
-    assert rng.calls == 3 and rng.running == 0
-    state = rng.rng.bit_generator.state
-    time.sleep(0.15)
-    assert rng.calls == 3 and rng.rng.bit_generator.state == state
-    assert spare._requests == 0
+    _assert_no_draw_follows(rng, 3)
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(method="dpm2_multistep", steps=6),
+    SolverConfig(method="dpm3", steps=6),
+    SolverConfig(method="ancestral", steps=6, gamma=0.5),
+], ids=["dpm2_multistep", "dpm3", "ancestral_gamma"])
+def test_request_bytes_do_not_depend_on_drawing_ahead(cfg, monkeypatch):
+    s = make_schedule("cosine", T)
+    req = _request(AnalyticGaussianPredictor(0.0, 1.0, s), s, cfg)
+    plan = 2 + noise_draws(make_time_grid(s, cfg), cfg, s)
+    real_submit = eaas.submit
+    results = {}
+    for cores in (1, 64):
+        monkeypatch.setattr(spare, "_CORES", cores)
+        submitted = []
+
+        def submit(fn, *args):
+            submitted.append(real_submit(fn, *args))
+            return submitted[-1]
+
+        monkeypatch.setattr(eaas, "submit", submit)
+        results[cores] = run_eaas(req)
+        ran_ahead = [task for task in submitted if task is not None]
+        assert len(submitted) == plan
+        assert len(ran_ahead) == (plan if cores == 64 else 0)
+    one, many = results[1], results[64]
+    assert np.array_equal(one.full_volume.data.view(np.uint64),
+                          many.full_volume.data.view(np.uint64))
+    assert np.array_equal(one.full_layout.labels, many.full_layout.labels)
 
 
 class _ThreadRecorder:
@@ -222,9 +277,9 @@ class _ThreadRecorder:
         self.rng = np.random.default_rng(0)
         self.threads = []
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         self.threads.append(threading.current_thread())
-        return self.rng.standard_normal(size)
+        return self.rng.standard_normal(size, out=out)
 
 
 def test_counted_requests_decide_where_draws_run(monkeypatch):
@@ -232,7 +287,7 @@ def test_counted_requests_decide_where_draws_run(monkeypatch):
 
     def drawn_ahead():
         rng = _ThreadRecorder()
-        noise = _DrawAhead(rng, DIMS, 1)
+        noise = BoxNoise(rng, DIMS, WHOLE, 1)
         time.sleep(0.05)  # a submitted draw of 720 normals is done by now
         started_early = len(rng.threads) == 1
         noise.standard_normal(DIMS)

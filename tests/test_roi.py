@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodulesynth.eaas import BoxNoise
 from nodulesynth.forward import q_sample
 from nodulesynth.predictor import (HALO, AnalyticGaussianPredictor,
                                    TinyConvPredictor, _einsum_product)
 from nodulesynth.schedule import make_schedule
-from nodulesynth.solver import (BoxNoise, SolverConfig, ancestral_solve,
-                                dpm_solve, eval_region, expected_nfe,
-                                make_time_grid, pulmonary_solve)
+from nodulesynth.solver import (SolverConfig, ancestral_solve, dpm_solve,
+                                eval_region, expected_nfe, make_time_grid,
+                                noise_draws, pulmonary_solve)
 from nodulesynth.volume import (NODULE, SemanticLayout, VoxelVolume, crop,
                                 paste)
 
@@ -99,7 +100,8 @@ def _box_solve(x_init, x_ref, m, p, cfg, rng, s):
     box = pulmonary_solve(
         replace(x_init, x_t=crop(x_init.x_t, region)), crop(x_ref, region),
         replace(crop(m, region), cut=region.cut_faces(m.dims)), p, cfg,
-        BoxNoise(rng, m.dims, region), s)
+        BoxNoise(rng, m.dims, region,
+                 noise_draws(make_time_grid(s, cfg), cfg, s)), s)
     assert box.dims == region.size
     return box, region
 

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodulesynth import solver
+from nodulesynth.eaas import BoxNoise
 from nodulesynth.errors import SolverError
 from nodulesynth.forward import NoisyState, q_sample
 from nodulesynth.predictor import AnalyticGaussianPredictor, NoisePredictor
 from nodulesynth.schedule import make_schedule
-from nodulesynth.solver import (HYBRID_WINDOW_FRAC, BoxNoise, SolverConfig,
+from nodulesynth.solver import (HYBRID_WINDOW_FRAC, SolverConfig,
                                 ancestral_solve, ancestral_step, dpm_solve,
                                 dpm_update, expected_nfe, grid_from_times,
                                 eval_region, hybrid_noise, make_time_grid,
-                                pulmonary_solve)
+                                noise_draws, pulmonary_solve)
 from nodulesynth.volume import NODULE, SemanticLayout, VoxelVolume, crop
 
 
@@ -442,7 +443,8 @@ def test_blend_background_is_q_sample_bitwise(t_start, steps, seed):
     p, rng = _InputRecorder(s), _DrawRecorder(seed)
     pulmonary_solve(replace(init, x_t=crop(init.x_t, region)), ref,
                     replace(crop(m, region), cut=region.cut_faces(dims)), p,
-                    cfg, BoxNoise(rng, dims, region), s)
+                    cfg, BoxNoise(rng, dims, region, noise_draws(
+                        make_time_grid(s, cfg), cfg, s)), s)
 
     ts = make_time_grid(s, cfg).ts
     assert [t for t, _ in p.inputs] == list(ts)
