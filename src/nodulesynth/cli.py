@@ -7,8 +7,9 @@ stdout while logs go to stderr (LDPM_LOG={error,info,debug}).
 
 Exit codes: 0 success; 2 a ``ValidationError`` (a bad flag, config
 value or library argument); 4 a ``FormatError`` or ``OSError`` (I/O);
-3 any other ``NoduleSynthError`` (a runtime or numeric failure).  Every
-other exception is a bug and propagates with its traceback.
+3 any other ``NoduleSynthError`` (a runtime or numeric failure), so
+``sample`` exits 2 only if every failed request's error is a
+``ValidationError``.  Every other exception is a bug and propagates.
 """
 
 import argparse
@@ -145,18 +146,19 @@ def cmd_sample(args):
     requests = [replace(first, seed=seed + i) for i in range(args.count)]
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     items = run_batch(requests, parallelism=args.parallelism)
-    failures = 0
+    failed = [item.error_type for item in items if item.error is not None]
     for i, item in enumerate(items):
         if item.error is not None:
-            failures += 1
             log.error("request %d failed: %s", i, item.error)
             continue
         prefix = f"{args.out_prefix}_{i:04d}"
         write_volume(item.result.full_volume, f"{prefix}.vol.ldpv")
         write_layout(item.result.full_layout, f"{prefix}.lay.ldpv")
         write_provenance(item.result, f"{prefix}.json")
-    if failures:
-        raise NoduleSynthError(f"{failures} of {len(items)} requests failed")
+    if failed:
+        bad_input = all(issubclass(e, ValidationError) for e in failed)
+        raise (ValidationError if bad_input else NoduleSynthError)(
+            f"{len(failed)} of {len(items)} requests failed")
     log.info("wrote %d results to %s_*", len(items), args.out_prefix)
     return 0
 

@@ -245,6 +245,7 @@ class BatchItem:
     request: EaasRequest
     result: EaasResult = None
     error: str = None
+    error_type: type = None  # a class: a kept error would pin its frames
 
 
 def run_batch(requests, parallelism=1):
@@ -253,8 +254,8 @@ def run_batch(requests, parallelism=1):
     Each item is identical to a standalone :func:`run_eaas` with the
     same seed regardless of ``parallelism``; a request that raises a
     ``NoduleSynthError`` (a ``ValidationError`` included) is captured in
-    its item instead of aborting the batch.  Any other exception is a
-    bug and propagates.
+    its item (message and class) instead of aborting the batch.  Any
+    other exception is a bug and propagates.
     """
     requests = list(requests)
     if not is_int(parallelism) or parallelism < 1:
@@ -265,7 +266,8 @@ def run_batch(requests, parallelism=1):
         try:
             return BatchItem(request=req, result=run_eaas(req))
         except NoduleSynthError as err:
-            return BatchItem(request=req, error=f"{type(err).__name__}: {err}")
+            return BatchItem(req, error=f"{type(err).__name__}: {err}",
+                             error_type=type(err))
 
     if parallelism == 1 or len(requests) <= 1:
         return [one(req) for req in requests]

@@ -121,9 +121,10 @@ class _Workspace:
 
     The first call for a ``slot`` allocates it zeroed; later calls return
     the same array as its last user left it, zeroed again only if
-    ``zero``.  Sites whose lifetimes do not overlap name the same slot.
-    A layout slot only ever holds layouts of one padded shape, so its
-    pads stay zero while each user rewrites its interior."""
+    ``zero``.  Sites whose lifetimes do not overlap name the same slot,
+    as every 8-channel conv output shares "z".  A layout slot only ever
+    holds layouts of one padded shape, so its pads stay zero while each
+    user rewrites its interior."""
 
     def __init__(self):
         self.slots = {}
@@ -262,25 +263,24 @@ def _conv3d_grad_w(layout, glayout):
 
 def _silu_layout(z, cut, alloc=_fresh, slots=(None, None), keep=False):
     """SiLU z * expit(z), written straight into the interior of the next
-    layer's flat layout; returns that layout and, if ``keep`` (for the
-    backward's cache), expit(z) in a buffer of its own, else None.
-    Without ``keep``, expit(z) goes into the interior and is multiplied
-    by z there, so no other array is made.  ``slots`` name the buffers
-    of expit(z) and of the layout."""
+    layer's flat layout (``slots[1]``); returns that layout and, if
+    ``keep`` (for the backward's cache), SiLU'(z) = s * (1 + z * (1 - s)),
+    s = expit(z), in ``slots[0]``, else None.  Each expit is written
+    where the value made from it goes, so only ``keep`` takes one more
+    buffer: a channel-sized "tmp" slot."""
     layout, interior = _layout(len(z), z.shape[1:], cut, alloc, slots[1])
-    s = expit(z, out=alloc(slots[0], z.shape) if keep else interior)
-    np.multiply(z, s, out=interior)
-    return layout, s if keep else None
-
-
-def _silu_grad(z, s, alloc, slot):
-    """Derivative of SiLU s * (1 + z * (1 - s)), given s = expit(z),
-    computed in a buffer from ``alloc(slot, ...)``."""
-    out = np.subtract(1.0, s, out=alloc(slot, s.shape))
-    out *= z
-    out += 1.0
-    out *= s
-    return out
+    if not keep:
+        np.multiply(z, expit(z, out=interior), out=interior)
+        return layout, None
+    d, tmp = alloc(slots[0], z.shape), alloc("tmp", z.shape[1:])
+    for zc, dc, ic in zip(z, d, interior):
+        s = expit(zc, out=dc)
+        np.multiply(zc, s, out=ic)
+        np.subtract(1.0, s, out=tmp)
+        tmp *= zc
+        tmp += 1.0
+        np.multiply(tmp, s, out=dc)
+    return layout, d
 
 
 def _time_embedding(t):
@@ -344,7 +344,7 @@ class TinyConvPredictor(NoisePredictor):
                  alloc=_fresh, cache=False):
         """The network's output and, if ``cache``, the backward cache
         (else None): each layer's flat input layout and each SiLU's
-        input and expit, in the order ``_backward`` unpacks them.
+        derivative, in the order ``_backward`` unpacks them.
         ``_predict`` passes the einsum ``product``, ``loss_and_grads``
         the BLAS one (see ``_conv3d``), its workspace as ``alloc`` and
         ``cache``.
@@ -355,45 +355,41 @@ class TinyConvPredictor(NoisePredictor):
         per ``cut`` face, so the output is ``HALO`` voxels smaller
         there.  Training passes no cut: the "same" convolution."""
         p = self.params
-        kept = [] if cache else None
         a, interior = _layout(2, x_t_data.shape, cut, alloc, "x")
         interior[0] = x_t_data
         interior[1] = mask_data
         del interior
+        kept = [a] if cache else None
         for k in (1, 2, 3):
             z = _conv3d(a, p[f"w{k}"], p.get(f"b{k}"), product=product,
-                        alloc=alloc, slot=f"z{k}")
-            if cache:
-                kept.append(a)
+                        alloc=alloc, slot="z3" if k == 3 else "z")
             del a  # its last reader is done
             if k == 1:
                 z += _time_embedding(t)[:, None, None, None]
             if k == 3:
                 return z[0], kept
-            a, s = _silu_layout(z, cut, alloc, (f"s{k}", f"a{k}"),
+            a, d = _silu_layout(z, cut, alloc, (f"d{k}", f"a{k}"),
                                 keep=cache)
             if cache:
-                kept += [z, s]
-            del z, s
+                kept += [d, a]
+            del z, d
 
     def _backward(self, g3, cache, alloc):
         """Gradients from gout's flat layout ``g3``.  Each buffer of the
-        forward pass is reused once its last reader is done: fa2's
-        layout ("a2") holds gz2's after gw3, fa1's ("a1") gz1's after
-        gw2, and the "gx" and "gz" scratch serve both layers."""
+        forward pass is reused once its last reader is done: each SiLU'
+        becomes its layer's gz in place, fa2's layout ("a2") holds gz2's
+        after gw3, fa1's ("a1") gz1's after gw2, and "z" each grad_x."""
         p = self.params
-        fx, z1, s1, fa1, z2, s2, fa2 = cache
+        fx, gz1, fa1, gz2, fa2 = cache  # each gz holds SiLU' until *= below
         # Each layer's gout is laid out once for both of its gradients.
         # gz2 and gz1 stay contiguous for their bias sums: a sum over
         # the layout's strided interior would round differently.
         gw3 = _conv3d_grad_w(fa2, g3)
-        gz2 = _silu_grad(z2, s2, alloc, "gz")
-        gz2 *= _conv3d_grad_x(p["w3"], g3, alloc, "gx")
+        gz2 *= _conv3d_grad_x(p["w3"], g3, alloc, "z")
         g2 = _flat_layout(gz2, alloc=alloc, slot="a2")
         gw2 = _conv3d_grad_w(fa1, g2)
         gb2 = gz2.sum(axis=(1, 2, 3))
-        gz1 = _silu_grad(z1, s1, alloc, "gz")
-        gz1 *= _conv3d_grad_x(p["w2"], g2, alloc, "gx")
+        gz1 *= _conv3d_grad_x(p["w2"], g2, alloc, "z")
         gw1 = _conv3d_grad_w(fx, _flat_layout(gz1, alloc=alloc, slot="a1"))
         gb1 = gz1.sum(axis=(1, 2, 3))
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3}
@@ -432,13 +428,13 @@ class TinyConvPredictor(NoisePredictor):
         (x_t, mask) pair, and returns (loss, grads) where loss is the
         mean squared error against the true noise.
 
-        The step's layouts, activations and gradient scratch live in a
-        workspace kept on the instance for each patch dims seen:
-        allocated at the first step at those dims and rewritten in place
-        by every later one (~19.7 MB per 32^3 shape, kept as long as the
-        instance).  So one instance serves one training thread;
-        ``predict`` never touches the workspaces, and the returned loss
-        and grads never alias them.
+        The step's layouts, conv outputs, SiLU derivatives and gradient
+        layouts live in a workspace kept on the instance for each patch
+        dims seen: allocated at the first step at those dims and
+        rewritten in place by every later one (~13.1 MB per 32^3 shape,
+        kept as long as the instance).  So one instance serves one
+        training thread; ``predict`` never touches the workspaces, and
+        the returned loss and grads never alias them.
         """
         ws = self._workspaces[x0.dims]
         x_t = q_sample(x0, t, eps, s).x_t.data

@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from nodulesynth.cli import build_parser, load_config, main
 from nodulesynth.eaas import _verify_fusion_locality
 from nodulesynth.errors import NoduleSynthError, ValidationError
+from nodulesynth.predictor import AnalyticGaussianPredictor
 from nodulesynth.volume import (LUNG, CropRegion, VoxelVolume, read_layout,
                                 read_volume, write_volume)
 
@@ -200,6 +202,51 @@ def test_sample_exits_3_on_planted_sign_flip(workdir, plant_sign_flip):
     assert len(plant_sign_flip) == 1
     assert sorted(p.name for p in (workdir / "pl").iterdir()) == [
         "s_0001.json", "s_0001.lay.ldpv", "s_0001.vol.ldpv"]
+
+
+def _nan_predictions(monkeypatch, calls):
+    """Make the first ``calls`` analytic predictions non-finite, which
+    fails their requests with a ``ValidationError``."""
+    honest = AnalyticGaussianPredictor._predict
+    made = []
+
+    def predict(self, x_t, t, c):
+        made.append(t)
+        if len(made) > calls:
+            return honest(self, x_t, t, c)
+        return VoxelVolume(np.full(x_t.dims, np.nan), x_t.spacing)
+
+    monkeypatch.setattr(AnalyticGaussianPredictor, "_predict", predict)
+
+
+def _sample_two(workdir, reference, out):
+    return main(["sample", "--config", str(workdir / "cfg.json"),
+                 "--reference", str(reference),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--analytic", "--count", "2",
+                 "--out-prefix", str(workdir / out / "s")])
+
+
+def test_sample_exits_2_when_every_failure_is_a_validation_error(
+        workdir, monkeypatch):
+    _nan_predictions(monkeypatch, math.inf)
+    assert _sample_two(workdir, workdir / "data" / "ph0.vol.ldpv",
+                       "nan") == 2
+    assert not list((workdir / "nan").iterdir())
+
+
+def test_sample_exits_3_when_any_failure_is_not_a_validation_error(
+        workdir, monkeypatch, plant_sign_flip):
+    # The first request fails at its first prediction, so the sign flip
+    # lands in the second, which fails the locality check.
+    _nan_predictions(monkeypatch, 1)
+    ref = read_volume(workdir / "data" / "ph0.vol.ldpv")
+    data = ref.data.copy()
+    data[::2] = -0.0
+    write_volume(VoxelVolume(data, ref.spacing), workdir / "negzero.vol.ldpv")
+    assert _sample_two(workdir, workdir / "negzero.vol.ldpv", "mix") == 3
+    assert len(plant_sign_flip) == 1
+    assert not list((workdir / "mix").iterdir())
 
 
 def test_sample_init_only(workdir):

@@ -84,6 +84,7 @@ def test_run_batch_records_a_library_error(phantom, parallelism, plant,
     items = run_batch([_request(phantom, predictor, seed)
                        for seed in (0, 1)], parallelism=parallelism)
     assert [(it.result, it.error) for it in items] == [(None, error)] * 2
+    assert all(it.error_type.__name__ == error.split(":")[0] for it in items)
 
 
 def test_run_bench_propagates_a_numpy_error(phantom):

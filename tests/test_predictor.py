@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.special import expit
 
 from nodulesynth import spare
 from nodulesynth.errors import FormatError, ValidationError
@@ -21,8 +22,8 @@ from nodulesynth.predictor import (_BLOCK, HALO, Adam,
                                    _conv3d, _conv3d_grad_w, _conv3d_grad_x,
                                    _einsum_product, _flat_layout,
                                    _flatten_grads, _silu_layout,
-                                   _time_embedding, train, train_step,
-                                   write_loss_curve)
+                                   _time_embedding, _Workspace, train,
+                                   train_step, write_loss_curve)
 from nodulesynth.volume import NO_CUT, SemanticLayout, VoxelVolume
 
 
@@ -476,6 +477,52 @@ def test_loss_and_grads_reuses_its_workspace(cosine1000):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < peaks[0] / 4
+
+
+@pytest.mark.parametrize("cores", [1, 64])
+def test_training_workspace_is_a_few_arrays(monkeypatch, cosine1000, cores):
+    # At 32^3 the workspace holds the input, activation and gout layouts,
+    # one buffer for every 8-channel conv output, each SiLU's derivative
+    # and a channel of scratch: ~6.24 of one 8-channel 32^3 array
+    # (keeping each SiLU's input and expit, or a conv output per layer,
+    # makes 9.37).  A warm step allocates only small temporaries and the
+    # tap scratch.
+    monkeypatch.setattr(spare, "_CORES", cores)
+    dims = (32, 32, 32)
+    x0, m, eps = _training_pair(dims, 3)
+    p = TinyConvPredictor(seed=1)
+    p.loss_and_grads(x0, m, 500, eps, cosine1000)
+    tracemalloc.start()
+    try:
+        p.loss_and_grads(x0, m, 500, eps, cosine1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_array = 8 * math.prod(dims) * 8  # 8 float64 channels
+    slots = p._workspaces[dims].slots.values()
+    assert sum(a.nbytes for a in slots) <= 6.25 * one_array
+    assert peak <= one_array
+
+
+_SILU_EDGES = [0.0, 5e-324, 1e-300, 36.7, 709.8, 745.0, 1e308]
+
+
+def test_training_silu_matches_the_whole_array_formula_bit_for_bit():
+    # The training forward writes SiLU and SiLU' one channel at a time;
+    # each value must have the bits of the whole-array two-step formula,
+    # signed zeros, subnormals and saturated expit included.
+    edges = np.array(_SILU_EDGES)
+    values = np.concatenate([edges, -edges])
+    z = np.stack([values, values[::-1]]).reshape(2, 2, 7, 1)
+    s = expit(z)
+    want_silu, want_d = z * s, ((1 - s) * z + 1) * s
+    for keep in (True, False):
+        (flat, padded), d = _silu_layout(z, NO_CUT, _Workspace(),
+                                         ("d", "a"), keep=keep)
+        silu = flat.reshape(len(z), *padded)[:, 1:-1, 1:-1, 1:-1]
+        assert np.ascontiguousarray(silu).tobytes() == want_silu.tobytes()
+        if keep:
+            assert d.tobytes() == want_d.tobytes()
 
 
 def test_loss_and_grads_results_never_alias_the_workspace(cosine1000):
