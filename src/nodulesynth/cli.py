@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -40,10 +40,9 @@ _SLOPE_THRESHOLDS = {1: 0.9, 2: 1.8, 3: 2.6}
 # constructors after this structural check.
 _CONFIG_KEYS = {
     "schedule": {"kind", "T"},
-    "solver": {"method", "steps", "gamma", "blend_mode", "t_start"},
+    "solver": {f.name for f in fields(SolverConfig)},
     "predictor": {"mu", "var"},
-    "layout": {"class_probs", "diameter_bounds_mm", "axis_ratio_range",
-               "max_diameter_mm"},
+    "layout": {f.name for f in fields(LayoutConfig)},
     "train": {"epochs", "lr"},
     "patch_size": None,
     "seed": None,
@@ -201,10 +200,6 @@ def cmd_bench(args):
     if args.suite not in _SUITES:
         raise ValidationError(
             f"unknown suite {args.suite!r}; available: {sorted(_SUITES)}")
-    if args.trials < 1:
-        raise ValidationError(f"--trials must be >= 1, got {args.trials}")
-    if args.warmup < 0:
-        raise ValidationError(f"--warmup must be >= 0, got {args.warmup}")
     reports = bench_suite(args.suite, args.trials, args.warmup)
     if args.out_csv:
         bench_mod.write_report_csv(reports, args.out_csv)

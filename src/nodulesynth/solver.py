@@ -137,33 +137,24 @@ def start_time(s, cfg):
 def make_time_grid(s, cfg):
     """Discrete sampling grid, approximately uniform in half-log-SNR.
 
-    Endpoints are exactly t_start and 0.  Interior nodes are the
-    distinct integer steps closest to uniform lambda targets spanning
+    Endpoints are exactly t_start (:func:`start_time`, the one statement
+    of where sampling starts) and 0.  Interior nodes are the distinct
+    integer steps closest to uniform lambda targets spanning
     [lambda(t_start), lambda(1)]; the final transition 1 -> 0 is a
     plain denoising step (lambda at t=0 is capped, so including it in
     the uniform span would collapse every interior target onto t=1).
     Collisions are resolved to keep the grid strictly decreasing with
-    exactly steps + 1 nodes.
+    exactly steps + 1 nodes, so ``steps == t_start`` takes every step.
     """
     t_start = start_time(s, cfg)
-    if cfg.steps == 1:
-        ts = [t_start, 0]
-    elif cfg.steps == t_start:
-        ts = list(range(t_start, -1, -1))
-    else:
-        lam_hi = float(s.lam[t_start])
-        lam_lo = float(s.lam[1])
-        targets = np.linspace(lam_hi, lam_lo, cfg.steps)[1:]
-        # Nearest integer step per lambda target (lam is decreasing in t).
-        lam_table = s.lam[: s.T + 1]
-        ts = [t_start]
-        for i, target in enumerate(targets):
-            t_near = int(np.argmin(np.abs(lam_table - target)))
-            remaining = len(targets) - 1 - i  # nodes still to place above 0
-            t_near = min(t_near, ts[-1] - 1)
-            t_near = max(t_near, remaining + 1)
-            ts.append(t_near)
-        ts.append(0)
+    targets = np.linspace(s.lam[t_start], s.lam[1], cfg.steps)[1:]
+    ts = [t_start]
+    for i, target in enumerate(targets):
+        # Nearest integer step to the target (lam is decreasing in t).
+        t_near = int(np.argmin(np.abs(s.lam - target)))
+        remaining = len(targets) - 1 - i  # nodes still to place above 0
+        ts.append(max(min(t_near, ts[-1] - 1), remaining + 1))
+    ts.append(0)
     return grid_from_times(s, np.asarray(ts, dtype=np.float64))
 
 
@@ -311,8 +302,11 @@ def dpm_solve(x_init, grid, order, p, c, s, rng=None, gamma=0.0, blend=None):
     ``blend``, if given, is called as blend(x_data, t_lo) after every
     update and returns the blended array.  Consumes exactly len(grid)
     predictor evaluations at orders 1-2, plus one starter evaluation at
-    order 3.  Raises SolverError on a non-finite state after an update.
+    order 3.  Raises ValidationError for any other order, and
+    SolverError on a non-finite state after an update.
     """
+    if order not in (1, 2, 3):
+        raise ValidationError(f"order must be 1, 2 or 3, got {order!r}")
     x = np.asarray(x_init.data, dtype=np.float64)
     spacing = x_init.spacing
 
@@ -419,17 +413,19 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
     to the same box of the whole-patch result.  Every draw is a
     ``rng.standard_normal`` call on the calling thread: exactly
     :func:`noise_draws` of them on return, at most that many if it
-    raises.
+    raises.  Raises ValidationError before any draw unless the inputs
+    share their dims and ``x_init`` lies at the grid's start, ``ts[0]``
+    of :func:`make_time_grid`, on the ``alpha_bar`` table of ``s``.
     """
     if x_ref.dims != x_init.x_t.dims or m.dims != x_ref.dims:
         raise ValidationError(
             f"dims mismatch: init {x_init.x_t.dims}, ref {x_ref.dims}, "
             f"mask {m.dims}")
-    t_start = int(x_init.t) if cfg.t_start is None else int(cfg.t_start)
-    if t_start != int(x_init.t):
-        raise ValidationError(
-            f"cfg.t_start={t_start} != initial state t={x_init.t}")
     grid = make_time_grid(s, cfg)
+    if x_init.t != grid.ts[0] or not np.array_equal(
+            x_init.schedule.alpha_bar, s.alpha_bar):
+        raise ValidationError(f"state t={x_init.t} on {x_init.schedule.kind}"
+                              f" != t_start={grid.ts[0]:g} on {s.kind}")
     blend = None
     if cfg.blend_mode == "per_step":
         ref = x_ref.data

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
 from bench_pairs import (benchmark_digest, quartiles, settings,  # noqa: E402
-                         summarize)
+                         summarize, summarize_faults)
 
 METRICS = {"fast": "lower", "busy": "higher"}
 
@@ -43,6 +43,17 @@ def test_quartiles_are_inclusive_q1_median_q3():
     row = summarize(runs, METRICS, [1, 2, 3, 4], 30)
     assert row["fast"]["parent_quartiles"] == [1.75, 2.5, 3.25]
     assert row["fast"]["change_quartiles"] == [4, 4, 4]
+
+
+def test_faults_keep_their_runs_beside_each_sides_quartiles():
+    got = {"parent": [{"ops": 3, "minflt_per_op": v} for v in (4, 1, 3, 2)],
+           "change": [{"ops": 3, "minflt_per_op": 7.0}] * 4}
+    row = summarize_faults(got)
+    assert row["parent"] == got["parent"] and row["change"] == got["change"]
+    assert row["parent_quartiles"] == [1.75, 2.5, 3.25]
+    assert row["change_quartiles"] == [7.0, 7.0, 7.0]
+    assert set(row) == {"parent", "change", "parent_quartiles",
+                        "change_quartiles"}
 
 
 def test_digests_compare_up_to_the_shorter_run():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from nodulesynth.cli import build_parser, load_config, main
 from nodulesynth.eaas import _verify_fusion_locality
 from nodulesynth.errors import NoduleSynthError, ValidationError
+from nodulesynth.layout import LayoutConfig
 from nodulesynth.predictor import AnalyticGaussianPredictor
+from nodulesynth.solver import SolverConfig
 from nodulesynth.volume import (LUNG, CropRegion, VoxelVolume, read_layout,
                                 read_volume, write_volume)
 
@@ -48,6 +51,16 @@ def test_config_rejects_unknown_keys(tmp_path):
         json.dumps({"solver": {"steps": 10, "stepz": 1}}))
     with pytest.raises(ValidationError, match="unknown keys"):
         load_config(tmp_path / "bad2.json")
+
+
+def test_config_naming_every_solver_and_layout_field_loads(tmp_path):
+    # Each section names every field of its constructor, at its default.
+    doc = {"solver": {f.name: f.default for f in fields(SolverConfig)},
+           "layout": {f.name: f.default for f in fields(LayoutConfig)}}
+    (tmp_path / "all.json").write_text(json.dumps(doc))
+    loaded = load_config(tmp_path / "all.json")
+    assert SolverConfig(**loaded["solver"]) == SolverConfig()
+    assert LayoutConfig(**loaded["layout"]) == LayoutConfig()
 
 
 def test_config_rejects_invalid_json(tmp_path):
@@ -311,7 +324,7 @@ def test_bench_rejects_negative_warmup(workdir, capsys, trials):
     assert main(["bench", "--suite", "smoke", "--trials", trials,
                  "--warmup", "-1", "--out-csv", str(out_csv)]) == 2
     out = capsys.readouterr()
-    assert "--warmup must be >= 0" in out.err and not out.out
+    assert "warmup must be an integer >= 0" in out.err and not out.out
     assert not out_csv.exists()
 
 

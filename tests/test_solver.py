@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nodulesynth import solver
 from nodulesynth.eaas import BoxNoise
-from nodulesynth.errors import SolverError
+from nodulesynth.errors import SolverError, ValidationError
 from nodulesynth.forward import NoisyState, q_sample
 from nodulesynth.predictor import AnalyticGaussianPredictor, NoisePredictor
 from nodulesynth.schedule import make_schedule
@@ -359,6 +359,34 @@ def test_pulmonary_solve_t_start_mismatch(cosine1000, rng, small_layout):
     with pytest.raises(ValueError, match="t_start"):
         pulmonary_solve(init, x_ref, small_layout, p,
                         SolverConfig(steps=10, t_start=800), rng, cosine1000)
+    # The grid starts at T when t_start is None, whatever the state's t.
+    with pytest.raises(ValueError, match="t_start"):
+        pulmonary_solve(init, x_ref, small_layout, p, SolverConfig(), rng,
+                        cosine1000)
+    # A fractional t is not the integer step it truncates to.
+    half = q_sample(x_ref, 500.5,
+                    VoxelVolume(rng.standard_normal((8, 8, 8))), cosine1000)
+    with pytest.raises(ValueError, match="t_start"):
+        pulmonary_solve(half, x_ref, small_layout, p,
+                        SolverConfig(steps=10, t_start=500), rng, cosine1000)
+    # Diffused under another schedule, at the right t.
+    linear = q_sample(x_ref, 1000,
+                      VoxelVolume(rng.standard_normal((8, 8, 8))),
+                      make_schedule("linear", 1000))
+    with pytest.raises(ValueError, match="t_start"):
+        pulmonary_solve(linear, x_ref, small_layout, p,
+                        SolverConfig(steps=10), rng, cosine1000)
+    assert p.eval_count == 0
+
+
+@pytest.mark.parametrize("order", [0, 4])
+def test_dpm_solve_rejects_order_outside_1_to_3(order, cosine1000, rng):
+    p = AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
+    grid = make_time_grid(cosine1000, SolverConfig(steps=4))
+    with pytest.raises(ValidationError, match="order must be 1, 2 or 3"):
+        dpm_solve(VoxelVolume(rng.standard_normal((4, 4, 4))), grid, order,
+                  p, None, cosine1000)
+    assert p.eval_count == 0
 
 
 # -- the per-step background blend -------------------------------------------

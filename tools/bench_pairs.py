@@ -19,7 +19,12 @@ Two measurements, each in fresh processes:
 
 - faults: minor page faults (``ru_minflt``) per operation of each
   workload's perfbench loop after perfbench's set-ups, from
-  ``FAULT_RUNS`` closed loops of ``FAULT_SECONDS`` per tree;
+  ``FAULT_RUNS`` closed loops of ``FAULT_SECONDS`` per tree, the trees
+  alternating which runs first, with each side's quartiles.  One tree
+  read from 2.2k to 4.7k faults per operation on one workload across
+  seeds, so two loops per tree could not tell trees apart.  A loop
+  takes ~11 s with its set-ups (2-vCPU VM), so six loops per tree on
+  three workloads take ~6.6 min, ~4.4 min more than two did;
 - pairs: ``PAIRS`` untraced runs of ``perfbench/run.py`` per tree on
   every workload, the parent and the change alternating which runs
   first.  Per workload: each metric's runs, quartiles and the pairs the
@@ -40,7 +45,7 @@ import time
 from pathlib import Path
 
 PAIRS = 10
-FAULT_RUNS, FAULT_SECONDS = 2, 10
+FAULT_RUNS, FAULT_SECONDS = 6, 10
 SEED_STRIDE = 100  # seed offset between consecutive workloads
 # Generated inside a tree by running it, so left out of its digest.
 GENERATED = {"out", "__pycache__", ".pytest_cache"}
@@ -138,6 +143,17 @@ def quartiles(values):
     return [round(v, 4) for v in (q[0], statistics.median(values), q[2])]
 
 
+def summarize_faults(got):
+    """One workload's ``faults`` entry from ``got[side]``, the
+    :func:`faults` results of each tree's loops: the runs, then each
+    side's quartiles of minor faults per operation beside them."""
+    row = dict(got)
+    for side, runs in got.items():
+        row[f"{side}_quartiles"] = quartiles(
+            [r["minflt_per_op"] for r in runs])
+    return row
+
+
 def summarize(runs, metrics, seeds, seconds):
     """One workload's ``pairs`` entry from ``runs[side]``, a list of
     ``perfbench`` results for "parent" and "change" whose ``i``-th runs
@@ -196,7 +212,7 @@ def main():
         for i in range(FAULT_RUNS):
             for side in alternating(trees, i):
                 got[side].append(child_faults(trees[side], workload, seed + i))
-        bench["faults"][workload] = got
+        bench["faults"][workload] = summarize_faults(got)
     for workload, seed in first.items():
         runs = {side: [] for side in trees}
         seeds = [seed + i for i in range(PAIRS)]
