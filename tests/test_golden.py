@@ -24,6 +24,7 @@ import pytest
 from nodulesynth.cli import main
 from nodulesynth.eaas import EaasRequest, run_eaas
 from nodulesynth.layout import LayoutConfig, place_nodule, sample_nodule_spec
+from nodulesynth.oracle import convergence_study
 from nodulesynth.predictor import (AnalyticGaussianPredictor, TinyConvPredictor,
                                    train)
 from nodulesynth.schedule import make_schedule
@@ -66,6 +67,12 @@ EAAS_GOLDEN = {
 TRAIN_GOLDEN = (
     "585a08c897046e061403bc81a9edbf818922df9cf98ca7bf69ed9f680a6a927a",
     "85829823b760756c2d3eb87a5c3f14bdc7763cb8720cabb93d988d0c1d0a942f")
+
+# SHA-256 of every convergence_study terminal error as float64 bytes
+# (orders 1-3 at 8, 16 and 32 steps).  The oracle CSV prints 6
+# significant digits, so only this pins the float grid's coefficients.
+CONVERGENCE_GOLDEN = (
+    "7401e925f6bd8e92a75410d98fde491ea43c886c99b5c963bdd1f1f8c440168e")
 
 EAAS_CASES = {
     "dpm3": dict(predictor="tinyconv", seed=7,
@@ -147,3 +154,10 @@ def test_train_golden(thorax):
     got = (_sha(np.asarray(losses, np.float64).tobytes()),
            _sha(p.get_flat().tobytes()))
     assert got == TRAIN_GOLDEN
+
+
+def test_convergence_errors_golden():
+    results = convergence_study(make_schedule("cosine", 1000),
+                                steps_list=(8, 16, 32), n_ref=5000)
+    errors = [e for res in results for e in res.errors]
+    assert _sha(np.asarray(errors, np.float64).tobytes()) == CONVERGENCE_GOLDEN
