@@ -39,7 +39,7 @@ reports = [run_bench(name, replace(request, solver=cfg), n_trials=3)
 print()
 print(format_table(reports))
 print()
-for row in compare(reports, baseline=0)[1:]:
+for row in compare(reports)[1:]:
     print(f"{row['config']} vs {reports[0].config}: "
           f"{row['nfe_ratio']:.1f}x fewer evaluations, "
           f"{row['flops_ratio']:.1f}x fewer FLOPs, "

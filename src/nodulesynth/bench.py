@@ -118,14 +118,14 @@ def run_bench(name, request, n_trials=10, warmup=1):
         peak_alloc_bytes=int(peak), trials=len(times))
 
 
-def compare(reports, baseline=0):
-    """Ratio table of every report against a designated baseline row.
+def compare(reports):
+    """Ratio table of every report against the first, the baseline row.
 
     Ratios are baseline / row, so larger means the row is cheaper.
     """
     if len(reports) < 2:
         raise ValidationError("need at least 2 reports to compare")
-    base = reports[baseline]
+    base = reports[0]
     return [{
         "config": rep.config,
         "nfe_ratio": base.nfe / rep.nfe,

@@ -204,7 +204,7 @@ def cmd_bench(args):
     if args.out_csv:
         bench_mod.write_report_csv(reports, args.out_csv)
     print(bench_mod.format_table(reports))
-    rows = bench_mod.compare(reports, baseline=0)
+    rows = bench_mod.compare(reports)
     print()
     print(f"ratios vs baseline {reports[0].config}:")
     for row in rows[1:]:

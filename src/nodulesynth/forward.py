@@ -28,7 +28,7 @@ class NoisyState:
 def diffuse(x0, t, eps, s):
     """sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps on plain arrays: two
     products and one addition, in that order."""
-    ab, sig, _ = s.coefficients(t)
+    ab, sig, _ = s.coefficients_at(t)
     return np.sqrt(ab) * x0 + sig * eps
 
 
@@ -40,14 +40,8 @@ def q_sample(x0, t, eps, s):
                                   x0.spacing), t, s)
 
 
-def invert_reference(x, t_start, eps, s):
-    """Diffuse a reference volume up to t_start (the background carrier).
-
-    Identical computation to :func:`q_sample`; named separately because
-    the anatomically aware sampler treats the result as the carrier of
-    the pulmonary background.
-    """
-    return q_sample(x, t_start, eps, s)
+# Diffusing the reference up to t_start gives the background carrier.
+invert_reference = q_sample
 
 
 def masked_mix(bg, n, m):

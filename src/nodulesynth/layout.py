@@ -17,6 +17,8 @@ from .schedule import is_finite_real
 from .volume import LUNG, NODULE, CropRegion, SemanticLayout
 
 SIZE_CLASSES = ("small", "medium", "large")
+MIN_LUNG_OVERLAP = 0.9
+MIN_LUNG_FRAC = 0.05
 
 
 def _real_tuple(value, shape):
@@ -138,10 +140,9 @@ def _ellipsoid_box(spec, center, dims, spacing):
     return tuple(slice(l, h) for l, h in zip(lo, hi)), inside
 
 
-def place_nodule(spec, lung, spacing, rng, max_tries=100,
-                 min_lung_overlap=0.9):
-    """Place the ellipsoid at a random center with >= 90% of its voxels
-    on lung labels.  Returns a new layout with nodule labels added.
+def place_nodule(spec, lung, spacing, rng, max_tries=100):
+    """Place the ellipsoid at a random center with >= MIN_LUNG_OVERLAP of
+    its voxels on lung labels.  Returns a new layout with nodule labels added.
 
     Only the ellipsoid's bounding box is rasterized and counted.  Raises
     PlacementError after ``max_tries`` failed placements (the caller may
@@ -158,7 +159,7 @@ def place_nodule(spec, lung, spacing, rng, max_tries=100,
         if n_total == 0:
             continue
         n_lung = int((inside & (lung.labels[sl] == LUNG)).sum())
-        if n_lung / n_total < min_lung_overlap:
+        if n_lung / n_total < MIN_LUNG_OVERLAP:
             continue
         labels = lung.labels.copy()
         labels[sl][inside] = NODULE
@@ -168,10 +169,9 @@ def place_nodule(spec, lung, spacing, rng, max_tries=100,
         f"after {max_tries} tries")
 
 
-def pick_healthy_crop(layout, existing_nodules, size, rng, max_tries=1000,
-                      min_lung_frac=0.05):
+def pick_healthy_crop(layout, existing_nodules, size, rng, max_tries=1000):
     """Uniformly pick a crop region free of existing nodule voxels and
-    overlapping lung labels in at least ``min_lung_frac`` of its voxels.
+    overlapping lung labels in at least MIN_LUNG_FRAC of its voxels.
 
     Rejection sampling over valid origins; raises SearchExhaustedError
     when the attempt budget runs out.
@@ -191,7 +191,7 @@ def pick_healthy_crop(layout, existing_nodules, size, rng, max_tries=1000,
                 existing_nodules.labels[sl] == NODULE):
             continue
         if (np.count_nonzero(layout.labels[sl] == LUNG)
-                < min_lung_frac * n_vox):
+                < MIN_LUNG_FRAC * n_vox):
             continue
         return region
     raise SearchExhaustedError(

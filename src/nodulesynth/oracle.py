@@ -23,7 +23,7 @@ import numpy as np
 
 from .predictor import AnalyticGaussianPredictor
 from .schedule import check_seed, coefficients_of_lambda
-from .solver import dpm_solve, grid_from_times
+from .solver import TimeGrid, dpm_solve
 from .volume import VoxelVolume
 
 
@@ -105,9 +105,11 @@ def convergence_study(s, mu=0.3, var=0.25, t_start=850,
     for order in orders:
         errors = []
         for steps in steps_list:
-            lams = np.linspace(lam_start, lam_end, steps + 1)
-            ts = s.t_of_lambda(lams)
-            grid = grid_from_times(s, ts, terminal_table=False)
+            ts = s.t_of_lambda(np.linspace(lam_start, lam_end, steps + 1))
+            # The continuous view at every node, integer endpoints included.
+            lam = s.lambda_of(ts)
+            ab, sig = np.array([coefficients_of_lambda(v) for v in lam]).T
+            grid = TimeGrid(ts, ab, sig, lam)
             out = dpm_solve(VoxelVolume(x_start), grid, order, predictor,
                             None, s)
             errors.append(float(np.sqrt(np.mean((out.data - ref) ** 2))))

@@ -92,7 +92,7 @@ class AnalyticGaussianPredictor(NoisePredictor):
         self.schedule = schedule
 
     def _predict(self, x_t, t, c):
-        ab, sig, _ = self.schedule.coefficients(t)
+        ab, sig, _ = self.schedule.coefficients_at(t)
         denom = ab * self.var + (1.0 - ab)
         eps = sig * (x_t.data - np.sqrt(ab) * self.mu) / denom
         return VoxelVolume(eps, x_t.spacing)
@@ -485,19 +485,21 @@ class TinyConvPredictor(NoisePredictor):
 class Adam:
     """Standard Adam on a flat parameter vector."""
 
-    def __init__(self, n, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, n, lr=1e-3):
+        self.lr = lr
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
 
     def step(self, flat, grad):
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
-        mhat = self.m / (1 - self.beta1 ** self.t)
-        vhat = self.v / (1 - self.beta2 ** self.t)
-        return flat - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grad ** 2
+        mhat = self.m / (1 - self.BETA1 ** self.t)
+        vhat = self.v / (1 - self.BETA2 ** self.t)
+        return flat - self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def _flatten_grads(p, grads):
@@ -505,8 +507,9 @@ def _flatten_grads(p, grads):
 
 
 @counted_request()
-def train_step(p, x0, m, rng, s, lr=1e-3, optimizer=None):
-    """One training step: sample (t, eps), take a gradient step, return
+def train_step(p, x0, m, rng, s, optimizer):
+    """One training step: sample (t, eps), take a gradient step with
+    ``optimizer`` (an :class:`Adam` over ``p``'s flat parameters), return
     the pre-update loss.  It counts as a request for the spare-core gate
     (``spare.counted_request``)."""
     if m.dims != x0.dims:
@@ -516,8 +519,7 @@ def train_step(p, x0, m, rng, s, lr=1e-3, optimizer=None):
     loss, grads = p.loss_and_grads(x0, m, t, eps, s)
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite loss {loss} at t={t}")
-    opt = optimizer if optimizer is not None else Adam(p.n_params, lr=lr)
-    p.set_flat(opt.step(p.get_flat(), _flatten_grads(p, grads)))
+    p.set_flat(optimizer.step(p.get_flat(), _flatten_grads(p, grads)))
     return loss
 
 
@@ -542,7 +544,7 @@ def train(p, dataset, s, epochs, lr=1e-3, seed=0):
     losses = []
     for _ in range(epochs):
         for x0, m in dataset:
-            losses.append(train_step(p, x0, m, rng, s, lr=lr, optimizer=opt))
+            losses.append(train_step(p, x0, m, rng, s, optimizer=opt))
     return losses
 
 

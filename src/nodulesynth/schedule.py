@@ -42,18 +42,15 @@ class NoiseSchedule:
     lam: np.ndarray
 
     def coefficients_at(self, t):
-        """Return (alpha_bar_t, sigma_t, lambda_t) for an integer step t."""
-        if not float(t).is_integer() or t < 0 or t > self.T:
-            raise ValidationError(f"step index {t} outside [0, {self.T}]")
-        t = int(t)
-        return float(self.alpha_bar[t]), float(self.sigma[t]), float(self.lam[t])
-
-    def coefficients(self, t):
-        """(alpha_bar, sigma, lambda) at time t: the tables at an integer
-        step, the continuous view otherwise."""
+        """(alpha_bar, sigma, lambda) at a time t in [0, T]: the tables at
+        an integer step, the continuous view (below) at a fractional one."""
+        if not 0 <= t <= self.T:
+            raise ValidationError(f"time {t} outside [0, {self.T}]")
         if float(t).is_integer():
-            return self.coefficients_at(t)
-        return self.coefficients_cont(t)
+            t = int(t)
+            return float(self.alpha_bar[t]), float(self.sigma[t]), float(self.lam[t])
+        lam = float(self.lambda_of(t))
+        return (*coefficients_of_lambda(lam), lam)
 
     # -- continuous view ------------------------------------------------
     #
@@ -76,12 +73,6 @@ class NoiseSchedule:
         """Inverse of :meth:`lambda_of` (lambda is strictly decreasing)."""
         ts = np.arange(self.T + 1, dtype=np.float64)
         return np.interp(lam, self.lam[::-1], ts[::-1])
-
-    def coefficients_cont(self, t):
-        """(alpha_bar, sigma, lambda) from the continuous view at time t."""
-        lam = float(self.lambda_of(t))
-        ab, sig = coefficients_of_lambda(lam)
-        return ab, sig, lam
 
     # -- diffusion of the continuous-time process ------------------------
 

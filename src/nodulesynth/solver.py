@@ -102,14 +102,10 @@ class TimeGrid:
         return len(self.ts)
 
 
-def grid_from_times(s, ts, terminal_table=True):
-    """Build a TimeGrid for explicit time nodes.
-
-    Integer nodes use the discrete tables; fractional nodes use the
-    continuous (lambda-interpolated) view.  With ``terminal_table``
-    False, integer nodes also use the continuous view, which keeps a
-    float grid's coefficients consistent at its endpoints.
-    """
+def grid_from_times(s, ts):
+    """Build a TimeGrid for explicit time nodes, with each node's
+    coefficients from ``s.coefficients_at``: the tables at an integer
+    node, the continuous view at a fractional one."""
     ts = np.asarray(ts, dtype=np.float64)
     if np.any(np.diff(ts) >= 0):
         raise ValidationError("time grid must be strictly decreasing")
@@ -117,8 +113,7 @@ def grid_from_times(s, ts, terminal_table=True):
     sig = np.empty_like(ts)
     lam = np.empty_like(ts)
     for i, t in enumerate(ts):
-        ab[i], sig[i], lam[i] = (s.coefficients(t) if terminal_table
-                                 else s.coefficients_cont(t))
+        ab[i], sig[i], lam[i] = s.coefficients_at(t)
     return TimeGrid(ts, ab, sig, lam)
 
 

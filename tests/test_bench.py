@@ -184,7 +184,7 @@ def _report(name, nfe, eval_flops, wall_mean_s, peak):
 def test_compare_ratios():
     slow = _report("slow", 100, 8e6, 2.0, 4000)
     fast = _report("fast", 10, 1e5, 0.5, 1000)
-    rows = compare([slow, fast], baseline=0)
+    rows = compare([slow, fast])
     assert rows[0] == {"config": "slow", "nfe_ratio": 1.0, "flops_ratio": 1.0,
                        "speed_ratio": 1.0, "alloc_ratio": 1.0}
     assert rows[1] == {"config": "fast", "nfe_ratio": 10.0,

@@ -13,8 +13,9 @@ from nodulesynth.eaas import (BatchItem, EaasRequest, run_batch, run_eaas,
 from nodulesynth.errors import (NoduleSynthError, PlacementError,
                                 ValidationError)
 from nodulesynth.layout import LayoutConfig
-from nodulesynth.predictor import (AnalyticGaussianPredictor, NoisePredictor,
-                                   TinyConvPredictor, train_step)
+from nodulesynth.predictor import (Adam, AnalyticGaussianPredictor,
+                                   NoisePredictor, TinyConvPredictor,
+                                   train_step)
 from nodulesynth.solver import SolverConfig
 from nodulesynth.volume import (CropRegion, SemanticLayout, VoxelVolume, crop,
                                 make_phantom)
@@ -303,7 +304,7 @@ def trained_conv(phantom, cosine1000):
     region = CropRegion((8, 8, 8), (12, 12, 12))
     p = TinyConvPredictor(seed=0)
     train_step(p, crop(vol, region), crop(lay, region),
-               np.random.default_rng(0), cosine1000)
+               np.random.default_rng(0), cosine1000, Adam(p.n_params))
     assert p._workspaces
     return p
 

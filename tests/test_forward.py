@@ -27,7 +27,7 @@ def test_q_sample_fractional_t_uses_continuous_view(cosine1000, rng,
                                                     small_volume):
     eps = VoxelVolume(rng.standard_normal(small_volume.dims))
     t = 400.5
-    ab, sig, _ = cosine1000.coefficients_cont(t)
+    ab, sig, _ = cosine1000.coefficients_at(t)
     out = q_sample(small_volume, t, eps, cosine1000)
     expected = np.sqrt(ab) * small_volume.data + sig * eps.data
     np.testing.assert_array_equal(out.x_t.data, expected)

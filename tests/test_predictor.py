@@ -683,7 +683,8 @@ def test_train_step_counts_as_a_request(cosine100, rng, small_layout,
                         lambda *args: seen.append(spare._requests)
                         or inner(*args))
     x0 = VoxelVolume(rng.standard_normal((8, 8, 8)))
-    train_step(p, x0, small_layout, np.random.default_rng(0), cosine100)
+    train_step(p, x0, small_layout, np.random.default_rng(0), cosine100,
+               Adam(p.n_params))
     assert seen == [1] and spare._requests == 0
 
 
@@ -743,7 +744,8 @@ def test_train_step_updates_params(cosine100, rng, small_layout):
     p = TinyConvPredictor(seed=5)
     before = p.get_flat().copy()
     x0 = VoxelVolume(rng.standard_normal((8, 8, 8)))
-    loss = train_step(p, x0, small_layout, np.random.default_rng(0), cosine100)
+    loss = train_step(p, x0, small_layout, np.random.default_rng(0), cosine100,
+                      Adam(p.n_params))
     assert np.isfinite(loss)
     assert not np.array_equal(p.get_flat(), before)
 

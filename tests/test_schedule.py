@@ -5,6 +5,7 @@ import pytest
 
 from nodulesynth.schedule import (BETA_MAX, COSINE_OFFSET, LAMBDA_CAP,
                                   coefficients_of_lambda, make_schedule)
+from nodulesynth.solver import grid_from_times
 
 
 def test_cosine_alpha_bar_matches_closed_form(cosine1000):
@@ -54,19 +55,36 @@ def test_linear_beta_endpoints():
 
 
 def test_coefficients_at_validation(cosine100):
-    with pytest.raises(ValueError):
-        cosine100.coefficients_at(-1)
-    with pytest.raises(ValueError):
-        cosine100.coefficients_at(101)
-    with pytest.raises(ValueError):
-        cosine100.coefficients_at(3.5)
+    # Integer and fractional times outside [0, T] both raise.
+    for t in (-1, 101, -0.5, 100.5, float("nan")):
+        with pytest.raises(ValueError):
+            cosine100.coefficients_at(t)
 
 
 def test_coefficients_at_matches_tables(cosine1000):
-    ab, sig, lam = cosine1000.coefficients_at(417)
-    assert ab == cosine1000.alpha_bar[417]
-    assert sig == cosine1000.sigma[417]
-    assert lam == cosine1000.lam[417]
+    for t in (0, 417, 417.0, np.int64(417), np.float64(1000.0)):
+        ab, sig, lam = cosine1000.coefficients_at(t)
+        i = int(t)
+        assert ab == cosine1000.alpha_bar[i]
+        assert sig == cosine1000.sigma[i]
+        assert lam == cosine1000.lam[i]
+
+
+def test_coefficients_at_fractional_is_continuous_view(cosine1000):
+    for t in (0.25, 400.5, np.float64(999.75)):
+        lam = float(cosine1000.lambda_of(t))
+        assert cosine1000.coefficients_at(t) == (*coefficients_of_lambda(lam),
+                                                 lam)
+
+
+def test_grid_from_times_reads_tables_at_integer_nodes(cosine1000):
+    grid = grid_from_times(cosine1000, [850, 400.5, 1])
+    for i, t in ((0, 850), (2, 1)):
+        assert (grid.alpha_bar[i], grid.sigma[i], grid.lam[i]) == (
+            cosine1000.alpha_bar[t], cosine1000.sigma[t], cosine1000.lam[t])
+    lam = float(cosine1000.lambda_of(400.5))
+    assert (grid.alpha_bar[1], grid.sigma[1], grid.lam[1]) == (
+        *coefficients_of_lambda(lam), lam)
 
 
 def test_lambda_of_integer_equals_table(cosine1000):
@@ -94,8 +112,9 @@ def test_coefficients_of_lambda_sigmoid_identity():
             assert 0.5 * math.log(ab / (1 - ab)) == pytest.approx(lam, abs=1e-9)
 
 
-def test_coefficients_cont_consistent_with_table(cosine1000):
-    ab, sig, lam = cosine1000.coefficients_cont(500.0)
+def test_continuous_view_consistent_with_table(cosine1000):
+    lam = float(cosine1000.lambda_of(500.0))
+    ab, sig = coefficients_of_lambda(lam)
     ab_t, sig_t, lam_t = cosine1000.coefficients_at(500)
     assert lam == lam_t
     assert ab == pytest.approx(ab_t, rel=1e-12)

@@ -147,8 +147,7 @@ def test_standard_normal_data_is_fixed_point(cosine1000, rng):
     p = AnalyticGaussianPredictor(0.0, 1.0, cosine1000)
     x = rng.standard_normal((6, 6, 6))
     lams = np.linspace(cosine1000.lam[900], cosine1000.lam[1], 65)
-    grid = grid_from_times(cosine1000, cosine1000.t_of_lambda(lams),
-                           terminal_table=False)
+    grid = grid_from_times(cosine1000, cosine1000.t_of_lambda(lams))
     out = dpm_solve(VoxelVolume(x), grid, 2, p, None, cosine1000)
     np.testing.assert_allclose(out.data, x, atol=5e-3)
 

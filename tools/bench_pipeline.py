@@ -40,7 +40,7 @@ def main():
         "solvers": {name: asdict(cfg) for name, cfg in rows},
         "trials": args.trials, "warmup": args.warmup,
         "rows": [asdict(rep) for rep in reports],
-        "ratios_vs_baseline": compare(reports, baseline=0),
+        "ratios_vs_baseline": compare(reports),
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
