@@ -198,13 +198,13 @@ def run_eaas(req):
                         evaluated.size)
     m_box = replace(crop(m, evaluated), cut=evaluated.cut_faces(m.dims))
     ref_box = crop(req.reference, placed)
+    grid = make_time_grid(s, cfg)
     # The initial state's two draws, then the solve's.
-    noise = BoxNoise(rng, m.dims, evaluated,
-                     2 + noise_draws(make_time_grid(s, cfg), cfg, s))
+    noise = BoxNoise(rng, m.dims, evaluated, 2 + noise_draws(grid, cfg, s))
     try:
         eps = VoxelVolume(noise.standard_normal(evaluated.size),
                           ref_box.spacing)
-        carrier = invert_reference(ref_box, start_time(s, cfg), eps, s)
+        carrier = invert_reference(ref_box, int(grid.ts[0]), eps, s)
         x_init = masked_mix(carrier, VoxelVolume(
             noise.standard_normal(evaluated.size), ref_box.spacing), m_box)
         box = pulmonary_solve(x_init, ref_box, m_box, req.predictor, cfg,

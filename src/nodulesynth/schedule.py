@@ -1,10 +1,11 @@
 """Diffusion coefficient schedules.
 
 A schedule fixes the variance-preserving forward process on a discrete
-grid of T training steps: per-step variances beta_t, the cumulative
-signal fraction alpha_bar_t, the noise level sigma_t = sqrt(1 -
-alpha_bar_t), and the half-log-SNR lambda_t = 0.5 * log(alpha_bar_t /
-(1 - alpha_bar_t)).  lambda is the natural time variable for
+grid of T training steps: the cumulative signal fraction alpha_bar_t
+(the running product of 1 - beta_t), the noise level sigma_t = sqrt(1 -
+alpha_bar_t), the half-log-SNR lambda_t = 0.5 * log(alpha_bar_t /
+(1 - alpha_bar_t)) and the squared diffusion coefficient g^2_t of the
+continuous-time process.  lambda is the natural time variable for
 exponential-integrator samplers, so the schedule also exposes a
 continuous view (piecewise-linear lambda over the discrete grid) used
 by fine-grained reference integration and float-time sampling grids.
@@ -29,17 +30,16 @@ BETA_MAX = 0.999
 class NoiseSchedule:
     """Immutable coefficient tables for a discrete diffusion process.
 
-    Index convention: ``alpha_bar``, ``sigma`` and ``lam`` have length
-    T+1 and are indexed by the step t in [0, T] with alpha_bar[0] = 1.
-    ``beta`` has length T; beta[i] is the variance of step t = i + 1.
+    Index convention: all four tables have length T+1 and are indexed
+    by the step t in [0, T] with alpha_bar[0] = 1.
     """
 
     kind: str
     T: int
-    beta: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray
     lam: np.ndarray
+    g2: np.ndarray
 
     def coefficients_at(self, t):
         """(alpha_bar, sigma, lambda) at a time t in [0, T]: the tables at
@@ -73,16 +73,6 @@ class NoiseSchedule:
         """Inverse of :meth:`lambda_of` (lambda is strictly decreasing)."""
         ts = np.arange(self.T + 1, dtype=np.float64)
         return np.interp(lam, self.lam[::-1], ts[::-1])
-
-    # -- diffusion of the continuous-time process ------------------------
-
-    def diffusion_sq(self, t):
-        """g^2(t): squared diffusion coefficient per unit step, from
-        central finite differences of log sqrt(alpha_bar) and sigma^2."""
-        f = np.gradient(np.log(np.sqrt(self.alpha_bar)))
-        sig2 = 1.0 - self.alpha_bar
-        g2 = np.maximum(np.gradient(sig2) - 2.0 * f * sig2, 0.0)
-        return float(g2[int(round(t))])
 
 
 def coefficients_of_lambda(lam):
@@ -156,8 +146,13 @@ def make_schedule(kind="cosine", T=1000):
     with np.errstate(divide="ignore"):
         lam = 0.5 * np.log(alpha_bar / (1.0 - alpha_bar))
     lam = np.clip(lam, -LAMBDA_CAP, LAMBDA_CAP)
+    # g^2 per unit step, from central finite differences of
+    # log sqrt(alpha_bar) and sigma^2.
+    f = np.gradient(np.log(np.sqrt(alpha_bar)))
+    sig2 = 1.0 - alpha_bar
+    g2 = np.maximum(np.gradient(sig2) - 2.0 * f * sig2, 0.0)
 
-    for arr in (beta, alpha_bar, sigma, lam):
+    for arr in (alpha_bar, sigma, lam, g2):
         arr.setflags(write=False)
-    return NoiseSchedule(kind=kind, T=T, beta=beta, alpha_bar=alpha_bar,
-                         sigma=sigma, lam=lam)
+    return NoiseSchedule(kind=kind, T=T, alpha_bar=alpha_bar, sigma=sigma,
+                         lam=lam, g2=g2)

@@ -265,15 +265,15 @@ def hybrid_noise(x, t_lo, dt, gamma, rng, s):
     """Stochastic perturbation of the state array ``x`` after a
     deterministic update.
 
-    Adds gamma * g(t_lo) * sqrt(dt) * N(0, I) while t_lo is inside the
-    early window (t_lo > 0.7 * T); returns ``x`` itself when gamma == 0
-    or t_lo is at/past the window (including t_lo = 0).
+    Adds gamma * sqrt(s.g2[t]) * sqrt(dt) * N(0, I), t the step nearest
+    t_lo, while t_lo is inside the early window (t_lo > 0.7 * T); returns
+    ``x`` itself when gamma == 0 or t_lo is at/past the window.
     """
     if gamma < 0:
         raise ValidationError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0 or t_lo <= HYBRID_WINDOW_FRAC * s.T or t_lo <= 0:
+    if gamma == 0.0 or t_lo <= HYBRID_WINDOW_FRAC * s.T:
         return x
-    g = math.sqrt(s.diffusion_sq(t_lo))
+    g = math.sqrt(s.g2[int(round(t_lo))])
     return x + gamma * g * math.sqrt(dt) * rng.standard_normal(x.shape)
 
 

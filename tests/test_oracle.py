@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nodulesynth import make_schedule
+from nodulesynth.errors import ValidationError
 from nodulesynth.oracle import (ConvergenceResult, convergence_study,
                                 exact_gaussian_terminal, reference_solve,
                                 write_convergence_csv)
@@ -38,6 +40,11 @@ def test_convergence_single_steps_has_nan_slope(cosine1000):
     (r,) = convergence_study(cosine1000, steps_list=(16,), n_ref=5000,
                              orders=(1,))
     assert np.isnan(r.slope)
+
+
+def test_convergence_study_rejects_a_schedule_shorter_than_t_start():
+    with pytest.raises(ValidationError, match="time 850 outside"):
+        convergence_study(make_schedule("cosine", 100), n_ref=10)
 
 
 def test_write_convergence_csv(tmp_path):

@@ -20,9 +20,17 @@ def test_cosine_alpha_bar_matches_closed_form(cosine1000):
         assert cosine1000.alpha_bar[t] == pytest.approx(expected, rel=1e-12)
 
 
+def _betas(s):
+    """Per-step variances recovered from the alpha_bar table."""
+    return 1.0 - s.alpha_bar[1:] / s.alpha_bar[:-1]
+
+
 def test_beta_clipped(cosine1000):
-    assert np.all(cosine1000.beta > 0)
-    assert np.all(cosine1000.beta <= BETA_MAX)
+    beta = _betas(cosine1000)
+    assert np.all(beta > 0)
+    assert np.all(beta <= BETA_MAX + 1e-12)
+    # The cosine's last step (alpha_bar -> 0) is the one clipped.
+    assert beta[-1] == pytest.approx(BETA_MAX)
 
 
 def test_variance_preserving_identity(cosine1000, linear1000):
@@ -45,13 +53,13 @@ def test_endpoints(cosine1000):
 
 
 def test_linear_beta_endpoints():
-    s = make_schedule("linear", 1000)
-    assert s.beta[0] == pytest.approx(1e-4)
-    assert s.beta[-1] == pytest.approx(0.02)
+    beta = _betas(make_schedule("linear", 1000))
+    assert beta[0] == pytest.approx(1e-4)
+    assert beta[-1] == pytest.approx(0.02)
     # Rescaled to keep the total variance budget at other step counts.
-    s100 = make_schedule("linear", 100)
-    assert s100.beta[0] == pytest.approx(1e-3)
-    assert s100.beta[-1] == pytest.approx(0.2)
+    beta100 = _betas(make_schedule("linear", 100))
+    assert beta100[0] == pytest.approx(1e-3)
+    assert beta100[-1] == pytest.approx(0.2)
 
 
 def test_coefficients_at_validation(cosine100):
@@ -121,10 +129,17 @@ def test_continuous_view_consistent_with_table(cosine1000):
     assert sig == pytest.approx(sig_t, rel=1e-9)
 
 
-def test_diffusion_sq_nonnegative(cosine1000, linear1000):
-    for s in (cosine1000, linear1000):
-        for t in (1, 100, 500, 999):
-            assert s.diffusion_sq(t) >= 0.0
+def test_g2_is_the_finite_difference_formula():
+    # g^2 per unit step from central differences of log sqrt(alpha_bar)
+    # and sigma^2, clipped at 0: the same float ops in the same order.
+    for kind in ("cosine", "linear"):
+        for T in (2, 37, 1000):
+            s = make_schedule(kind, T)
+            f = np.gradient(np.log(np.sqrt(s.alpha_bar)))
+            sig2 = 1.0 - s.alpha_bar
+            g2 = np.maximum(np.gradient(sig2) - 2.0 * f * sig2, 0.0)
+            assert np.array_equal(s.g2, g2)
+            assert np.all(s.g2 >= 0.0)
 
 
 def test_make_schedule_validation():
@@ -137,5 +152,7 @@ def test_make_schedule_validation():
 
 
 def test_tables_are_readonly(cosine100):
-    with pytest.raises(ValueError):
-        cosine100.alpha_bar[0] = 0.5
+    for table in (cosine100.alpha_bar, cosine100.sigma, cosine100.lam,
+                  cosine100.g2):
+        with pytest.raises(ValueError):
+            table[0] = 0.5

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -231,9 +232,16 @@ def test_hybrid_noise_passthrough(cosine1000, rng):
 
 def test_hybrid_noise_active_in_window(cosine1000, rng):
     x = rng.standard_normal((4, 4, 4))
+    gamma, dt = 0.5, 2.5
     t = int(HYBRID_WINDOW_FRAC * 1000) + 50
-    out = hybrid_noise(x, t, 1.0, 0.5, rng, cosine1000)
-    assert not np.array_equal(out, x)
+    # A fractional t_lo reads g2 at the nearest step (800.6 -> 801).
+    for t_lo, node in ((t, t), (800.6, 801)):
+        out = hybrid_noise(x, t_lo, dt, gamma, np.random.default_rng(5),
+                           cosine1000)
+        z = np.random.default_rng(5).standard_normal(x.shape)
+        expected = (x + gamma * math.sqrt(cosine1000.g2[node])
+                    * math.sqrt(dt) * z)
+        np.testing.assert_array_equal(out, expected)
 
 
 def test_hybrid_noise_deterministic_given_rng(cosine1000, rng):
