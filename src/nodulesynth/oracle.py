@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .predictor import AnalyticGaussianPredictor
-from .schedule import check_seed, coefficients_of_lambda
+from .schedule import check_seed, coefficients_of_lambda, is_int
 from .solver import TimeGrid, dpm_solve
 from .volume import VoxelVolume
 
@@ -93,9 +94,13 @@ def convergence_study(s, mu=0.3, var=0.25,
     solves with the analytic Gaussian predictor at each (order, steps),
     and compares against a single shared high-resolution reference
     solution.  Returns one :class:`ConvergenceResult` per order.
-    Raises ValidationError when the schedule is shorter than T_START.
+    Raises ValidationError for T < T_START or a repeated or < 1 step count.
     """
     check_seed(seed)
+    if len(set(steps_list)) < len(steps_list) or not all(
+            is_int(n) and n >= 1 for n in steps_list):
+        raise ValidationError(
+            f"step counts must be distinct integers >= 1, got {steps_list!r}")
     _, _, lam_start = s.coefficients_at(T_START)
     lam_end = float(s.lam[1])
     rng = np.random.default_rng(seed)

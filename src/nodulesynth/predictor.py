@@ -36,9 +36,11 @@ HALO = 3
 class NoisePredictor:
     """Interface: predict(x_t, t, c) -> predicted noise volume.
 
-    ``eval_count`` increments by exactly one per predict call.  The
-    solvers do not read it (their NFE is ``solver.expected_nfe``); tests
-    read it as a count of calls.
+    Subclasses implement ``_predict``, which returns the plain eps array;
+    ``predict`` wraps it once and raises SolverError if it is non-finite
+    or its dims differ from the input's.  ``eval_count`` increments by
+    exactly one per predict call.  The solvers do not read it (their NFE
+    is ``solver.expected_nfe``); tests read it as a count of calls.
 
     Locality contract: the output at a voxel depends only on the input
     volume and condition within ``HALO`` voxels of it (Chebyshev
@@ -64,9 +66,13 @@ class NoisePredictor:
     def predict(self, x_t, t, c):
         if c is not None and c.dims != x_t.dims:
             raise ValidationError(f"condition dims {c.dims} != input dims {x_t.dims}")
-        out = self._predict(x_t, t, c)
-        if out.dims != x_t.dims:
+        eps = self._predict(x_t, t, c)
+        if np.shape(eps) != x_t.dims:
             raise SolverError("predictor returned mismatched dims")
+        try:
+            out = VoxelVolume(eps, x_t.spacing)
+        except ValidationError:
+            raise SolverError(f"non-finite predictor output at t={t:g}") from None
         self.eval_count += 1
         return out
 
@@ -94,8 +100,7 @@ class AnalyticGaussianPredictor(NoisePredictor):
     def _predict(self, x_t, t, c):
         ab, sig, _ = self.schedule.coefficients_at(t)
         denom = ab * self.var + (1.0 - ab)
-        eps = sig * (x_t.data - np.sqrt(ab) * self.mu) / denom
-        return VoxelVolume(eps, x_t.spacing)
+        return sig * (x_t.data - np.sqrt(ab) * self.mu) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +409,11 @@ class TinyConvPredictor(NoisePredictor):
         box = tuple(slice(HALO * lo, d - HALO * hi)
                     for d, (lo, hi) in zip(x_t.dims, cut))
         if any(b.start >= b.stop for b in box):
-            return VoxelVolume(np.zeros(x_t.dims), x_t.spacing)
+            return np.zeros(x_t.dims)
         eps, _ = self._forward(x_t.data, mask, t, _einsum_product, cut)
         out = np.zeros(x_t.dims)
         out[box] = eps
-        return VoxelVolume(out, x_t.spacing)
+        return out
 
     def flops(self, dims, cut=NO_CUT):
         """FLOPs of one ``predict`` at ``dims`` with the condition's

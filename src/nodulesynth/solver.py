@@ -107,13 +107,9 @@ def grid_from_times(s, ts):
     coefficients from ``s.coefficients_at``: the tables at an integer
     node, the continuous view at a fractional one."""
     ts = np.asarray(ts, dtype=np.float64)
-    if np.any(np.diff(ts) >= 0):
-        raise ValidationError("time grid must be strictly decreasing")
-    ab = np.empty_like(ts)
-    sig = np.empty_like(ts)
-    lam = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        ab[i], sig[i], lam[i] = s.coefficients_at(t)
+    if ts.size == 0 or np.any(np.diff(ts) >= 0):
+        raise ValidationError("time grid must be non-empty and decreasing")
+    ab, sig, lam = np.array([s.coefficients_at(t) for t in ts]).T
     return TimeGrid(ts, ab, sig, lam)
 
 
@@ -133,24 +129,25 @@ def make_time_grid(s, cfg):
     """Discrete sampling grid, approximately uniform in half-log-SNR.
 
     Endpoints are exactly t_start (:func:`start_time`, the one statement
-    of where sampling starts) and 0.  Interior nodes are the distinct
-    integer steps closest to uniform lambda targets spanning
-    [lambda(t_start), lambda(1)]; the final transition 1 -> 0 is a
-    plain denoising step (lambda at t=0 is capped, so including it in
-    the uniform span would collapse every interior target onto t=1).
-    Collisions are resolved to keep the grid strictly decreasing with
-    exactly steps + 1 nodes, so ``steps == t_start`` takes every step.
+    of where sampling starts) and 0.  Interior nodes are the integer
+    steps nearest (the lower one on a tie) to uniform lambda targets
+    spanning [lambda(t_start), lambda(1)]; the final transition 1 -> 0
+    is a plain denoising step (lambda at t=0 is capped, so including it
+    in the uniform span would collapse every interior target onto t=1).
+    Node k is clamped into [steps - k, node k-1 minus 1]: the grid is
+    strictly decreasing with steps + 1 nodes (all steps if steps = t_start).
     """
     t_start = start_time(s, cfg)
     targets = np.linspace(s.lam[t_start], s.lam[1], cfg.steps)[1:]
-    ts = [t_start]
-    for i, target in enumerate(targets):
-        # Nearest integer step to the target (lam is decreasing in t).
-        t_near = int(np.argmin(np.abs(s.lam - target)))
-        remaining = len(targets) - 1 - i  # nodes still to place above 0
-        ts.append(max(min(t_near, ts[-1] - 1), remaining + 1))
-    ts.append(0)
-    return grid_from_times(s, np.asarray(ts, dtype=np.float64))
+    # lam[lo] >= target > lam[lo + 1] and 0 <= lo < T (lam decreases in t).
+    lo = s.T - np.searchsorted(s.lam[::-1], targets)
+    near = np.where(np.abs(s.lam[lo] - targets)
+                    <= np.abs(s.lam[lo + 1] - targets), lo, lo + 1)
+    # ts[k] = max(min(near, ts[k-1] - 1), steps - k), shifted by k.
+    k = np.arange(cfg.steps)
+    ts = np.maximum(np.minimum.accumulate(np.r_[t_start, near] + k),
+                    cfg.steps) - k
+    return grid_from_times(s, np.r_[ts, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +316,8 @@ def dpm_solve(x_init, grid, order, p, c, s, rng=None, gamma=0.0, blend=None):
             # Discrete grids end with a lambda jump onto the capped t=0
             # node; multistep extrapolation over that jump is unstable,
             # so the final denoising step drops to first order there.
-            order_used = min(order, len(history))
-            if grid.sigma[i] == 0.0:
-                order_used = 1
-            x = dpm_update(x, history, grid, i, order_used)
+            x = dpm_update(x, history, grid, i,
+                           min(order, len(history)) if grid.sigma[i] else 1)
         x = _end_step(x, grid, i, gamma, rng, s, blend)
         history = history[-2:] + [evaluate(x, i)]
     return VoxelVolume(x, spacing)
@@ -381,14 +376,11 @@ def eval_region(m, cfg):
 
 def noise_draws(grid, cfg, s):
     """Standard-normal draws one :func:`pulmonary_solve` on ``grid``
-    makes (see the module docstring)."""
-    count = 0
-    for t_lo in grid.ts[1:].tolist():
-        if t_lo > 0:
-            count += ((cfg.method == "ancestral")
-                      + (cfg.gamma > 0 and t_lo > HYBRID_WINDOW_FRAC * s.T)
-                      + (cfg.blend_mode == "per_step"))
-    return count
+    makes (see the module docstring), counted over its nodes at once."""
+    t_lo = grid.ts[1:]
+    per_step = (cfg.method == "ancestral") + (cfg.blend_mode == "per_step")
+    return (per_step * np.count_nonzero(t_lo > 0) + (cfg.gamma > 0)
+            * np.count_nonzero(t_lo > HYBRID_WINDOW_FRAC * s.T))
 
 
 def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
@@ -427,10 +419,8 @@ def pulmonary_solve(x_init, x_ref, m, p, cfg, rng, s):
         nodule = m.nodule_mask()
 
         def blend(x_data, t_lo):
-            if t_lo == 0:
-                bg = ref.copy()
-            else:
-                bg = diffuse(ref, t_lo, rng.standard_normal(ref.shape), s)
+            bg = ref.copy() if t_lo == 0 else diffuse(
+                ref, t_lo, rng.standard_normal(ref.shape), s)
             np.copyto(bg, x_data, where=nodule)
             return bg
 

@@ -217,9 +217,9 @@ def test_sample_exits_3_on_planted_sign_flip(workdir, plant_sign_flip):
         "s_0001.json", "s_0001.lay.ldpv", "s_0001.vol.ldpv"]
 
 
-def _nan_predictions(monkeypatch, calls):
-    """Make the first ``calls`` analytic predictions non-finite, which
-    fails their requests with a ``ValidationError``."""
+def _plant_predictions(monkeypatch, calls, plant):
+    """Make the first ``calls`` analytic predictions return (or raise)
+    ``plant(x_t)`` instead."""
     honest = AnalyticGaussianPredictor._predict
     made = []
 
@@ -227,9 +227,17 @@ def _nan_predictions(monkeypatch, calls):
         made.append(t)
         if len(made) > calls:
             return honest(self, x_t, t, c)
-        return VoxelVolume(np.full(x_t.dims, np.nan), x_t.spacing)
+        return plant(x_t)
 
     monkeypatch.setattr(AnalyticGaussianPredictor, "_predict", predict)
+
+
+def _validation_error(x_t):
+    raise ValidationError("planted input error")
+
+
+def _nan_output(x_t):
+    return np.full(x_t.dims, np.nan)
 
 
 def _sample_two(workdir, reference, out):
@@ -242,9 +250,19 @@ def _sample_two(workdir, reference, out):
 
 def test_sample_exits_2_when_every_failure_is_a_validation_error(
         workdir, monkeypatch):
-    _nan_predictions(monkeypatch, math.inf)
+    _plant_predictions(monkeypatch, math.inf, _validation_error)
     assert _sample_two(workdir, workdir / "data" / "ph0.vol.ldpv",
-                       "nan") == 2
+                       "bad") == 2
+    assert not list((workdir / "bad").iterdir())
+
+
+def test_sample_exits_3_on_non_finite_predictions(workdir, monkeypatch,
+                                                  caplog):
+    # A non-finite predictor output is a numeric failure, not bad input.
+    _plant_predictions(monkeypatch, math.inf, _nan_output)
+    assert _sample_two(workdir, workdir / "data" / "ph0.vol.ldpv",
+                       "nan") == 3
+    assert caplog.text.count("SolverError: non-finite predictor output") == 2
     assert not list((workdir / "nan").iterdir())
 
 
@@ -252,7 +270,7 @@ def test_sample_exits_3_when_any_failure_is_not_a_validation_error(
         workdir, monkeypatch, plant_sign_flip):
     # The first request fails at its first prediction, so the sign flip
     # lands in the second, which fails the locality check.
-    _nan_predictions(monkeypatch, 1)
+    _plant_predictions(monkeypatch, 1, _validation_error)
     ref = read_volume(workdir / "data" / "ph0.vol.ldpv")
     data = ref.data.copy()
     data[::2] = -0.0
@@ -355,9 +373,11 @@ def test_oracle_check_validation():
     ("train", {"train": {"epochs": -1}}, [], "epochs must be an integer"),
     ("oracle-check", {}, ["--steps", "8,x"], "--steps must be comma"),
     ("oracle-check", {}, ["--orders", "1,a"], "--orders must be comma"),
+    ("oracle-check", {}, ["--steps", "16,16"], "must be distinct integers"),
 ], ids=["string_seed", "negative_seed", "bool_seed", "negative_seed_flag",
         "string_lr", "zero_lr", "bool_lr", "fractional_epochs",
-        "bool_epochs", "negative_epochs", "string_steps", "string_orders"])
+        "bool_epochs", "negative_epochs", "string_steps", "string_orders",
+        "repeated_steps"])
 def test_train_and_oracle_check_reject_malformed_input(
         workdir, capsys, command, config, flags, message):
     cfg = json.loads((workdir / "cfg.json").read_text())

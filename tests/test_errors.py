@@ -17,14 +17,14 @@ from nodulesynth.errors import (NoduleSynthError, SolverError,
 from nodulesynth.predictor import TinyConvPredictor
 from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import SolverConfig
-from nodulesynth.volume import VoxelVolume, make_phantom
+from nodulesynth.volume import make_phantom
 
 _SRC = Path(nodulesynth.__file__).parent
 
 
 def _broadcast_bug(x_t):
     # The last axis is n + 1 against n >= 4 voxels: numpy's ValueError.
-    return VoxelVolume(x_t.data + np.ones(x_t.dims[-1] + 1), x_t.spacing)
+    return x_t.data + np.ones(x_t.dims[-1] + 1)
 
 
 def _solver_failure(x_t):
@@ -32,7 +32,7 @@ def _solver_failure(x_t):
 
 
 def _nan_output(x_t):
-    return VoxelVolume(np.full(x_t.dims, np.nan), x_t.spacing)
+    return np.full(x_t.dims, np.nan)
 
 
 class _Planted(TinyConvPredictor):
@@ -76,7 +76,7 @@ def test_run_batch_propagates_a_numpy_error(phantom, parallelism):
 @pytest.mark.parametrize("parallelism", [1, 2])
 @pytest.mark.parametrize("plant,error", [
     (_solver_failure, "SolverError: planted solver failure"),
-    (_nan_output, "ValidationError: volume data contains non-finite values"),
+    (_nan_output, "SolverError: non-finite predictor output at t=1000"),
 ], ids=["solver_error", "nan_output"])
 def test_run_batch_records_a_library_error(phantom, parallelism, plant,
                                            error):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nodulesynth import make_schedule
+from nodulesynth import make_schedule, oracle
 from nodulesynth.errors import ValidationError
 from nodulesynth.oracle import (ConvergenceResult, convergence_study,
                                 exact_gaussian_terminal, reference_solve,
@@ -45,6 +45,18 @@ def test_convergence_single_steps_has_nan_slope(cosine1000):
 def test_convergence_study_rejects_a_schedule_shorter_than_t_start():
     with pytest.raises(ValidationError, match="time 850 outside"):
         convergence_study(make_schedule("cosine", 100), n_ref=10)
+
+
+@pytest.mark.parametrize("steps_list", [(16, 16), (8, 16, 8), (0, 8),
+                                        (-4, 8), (8.0, 16)])
+def test_convergence_study_rejects_bad_step_counts(cosine1000, monkeypatch,
+                                                   steps_list):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference solve ran")
+
+    monkeypatch.setattr(oracle, "reference_solve", no_reference)
+    with pytest.raises(ValidationError, match="must be distinct integers"):
+        convergence_study(cosine1000, steps_list=steps_list)
 
 
 def test_write_convergence_csv(tmp_path):

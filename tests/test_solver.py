@@ -11,7 +11,8 @@ from nodulesynth import solver
 from nodulesynth.eaas import BoxNoise
 from nodulesynth.errors import SolverError, ValidationError
 from nodulesynth.forward import NoisyState, q_sample
-from nodulesynth.predictor import AnalyticGaussianPredictor, NoisePredictor
+from nodulesynth.predictor import (AnalyticGaussianPredictor, NoisePredictor,
+                                   TinyConvPredictor)
 from nodulesynth.schedule import make_schedule
 from nodulesynth.solver import (HYBRID_WINDOW_FRAC, SolverConfig,
                                 ancestral_solve, ancestral_step, dpm_solve,
@@ -73,16 +74,41 @@ def _grid_cases(draw):
     return draw(st.sampled_from(["cosine", "linear"])), T, t_start, steps
 
 
+def _brute_force_nodes(s, t_start, steps):
+    """The grid's nodes by a full argmin scan of the lambda table per
+    target and a sequential collision clamp, node by node."""
+    targets = np.linspace(s.lam[t_start], s.lam[1], steps)[1:]
+    ts = [t_start]
+    for i, target in enumerate(targets):
+        t_near = int(np.argmin(np.abs(s.lam - target)))
+        remaining = len(targets) - 1 - i  # nodes still to place above 0
+        ts.append(max(min(t_near, ts[-1] - 1), remaining + 1))
+    return np.asarray(ts + [0], dtype=np.float64)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_grid_cases())
 def test_make_time_grid_property(case):
     kind, T, t_start, steps = case
-    grid = make_time_grid(make_schedule(kind, T),
-                          SolverConfig(steps=steps, t_start=t_start))
+    s = make_schedule(kind, T)
+    grid = make_time_grid(s, SolverConfig(steps=steps, t_start=t_start))
     assert len(grid) == steps + 1
     assert np.all(grid.ts == np.round(grid.ts))
     assert np.all(np.diff(grid.ts) < 0)
     assert grid.ts[0] == t_start and grid.ts[-1] == 0
+    assert grid.ts.tobytes() == _brute_force_nodes(s, t_start, steps).tobytes()
+    for i, t in enumerate(grid.ts):
+        assert (grid.alpha_bar[i], grid.sigma[i],
+                grid.lam[i]) == s.coefficients_at(t)
+
+
+def test_make_time_grid_tie_goes_to_the_lower_step():
+    # The middle target, 1.5, lies exactly halfway between lam[2] and
+    # lam[3]; the full argmin scan returns the first hit, step 2.
+    s = replace(make_schedule("cosine", 4), lam=np.array([13.8, 3, 2, 1, 0.]))
+    grid = make_time_grid(s, SolverConfig(steps=3))
+    np.testing.assert_array_equal(grid.ts, [4, 2, 1, 0])
+    np.testing.assert_array_equal(grid.ts, _brute_force_nodes(s, 4, 3))
 
 
 def test_make_time_grid_full(cosine100):
@@ -111,8 +137,9 @@ def test_grid_coefficients_match_tables(cosine1000):
 
 
 def test_grid_from_times_requires_decreasing(cosine1000):
-    with pytest.raises(ValueError):
-        grid_from_times(cosine1000, [100, 100, 50])
+    for ts in ([100, 100, 50], [50, 100], []):
+        with pytest.raises(ValidationError, match="non-empty and decreasing"):
+            grid_from_times(cosine1000, ts)
 
 
 # -- first order vs DDIM oracle ----------------------------------------------
@@ -272,7 +299,7 @@ def test_final_step_drops_to_order1(cosine1000, rng, monkeypatch):
 
 class _ExplodingPredictor(NoisePredictor):
     def _predict(self, x_t, t, c):
-        return VoxelVolume(np.full(x_t.dims, 1e308), x_t.spacing)
+        return np.full(x_t.dims, 1e308)
 
 
 def test_solver_error_on_nonfinite(cosine1000, rng):
@@ -393,6 +420,24 @@ def test_dpm_solve_rejects_order_outside_1_to_3(order, cosine1000, rng):
     with pytest.raises(ValidationError, match="order must be 1, 2 or 3"):
         dpm_solve(VoxelVolume(rng.standard_normal((4, 4, 4))), grid, order,
                   p, None, cosine1000)
+    assert p.eval_count == 0
+
+
+@pytest.mark.parametrize("method", ["dpm2_multistep", "dpm3", "ancestral"])
+def test_nonfinite_predictor_output_is_a_solver_error(cosine1000, rng,
+                                                      small_layout, method):
+    # Weights this large overflow inside the net, so its first output
+    # holds inf or nan: a numeric failure of the request, not bad input.
+    p = TinyConvPredictor(seed=0)
+    p.set_flat(p.get_flat() * 1e150)
+    x_ref = VoxelVolume(rng.standard_normal((8, 8, 8)))
+    init = q_sample(x_ref, 1000,
+                    VoxelVolume(rng.standard_normal((8, 8, 8))), cosine1000)
+    cfg = SolverConfig(method=method, steps=5)
+    with pytest.raises(SolverError,
+                       match="non-finite predictor output at t=1000$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        pulmonary_solve(init, x_ref, small_layout, p, cfg, rng, cosine1000)
     assert p.eval_count == 0
 
 
