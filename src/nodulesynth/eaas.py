@@ -242,7 +242,6 @@ def run_eaas(req):
 
 @dataclass(frozen=True)
 class BatchItem:
-    request: EaasRequest
     result: EaasResult = None
     error: str = None
     error_type: type = None  # a class: a kept error would pin its frames
@@ -264,9 +263,9 @@ def run_batch(requests, parallelism=1):
 
     def one(req):
         try:
-            return BatchItem(request=req, result=run_eaas(req))
+            return BatchItem(result=run_eaas(req))
         except NoduleSynthError as err:
-            return BatchItem(req, error=f"{type(err).__name__}: {err}",
+            return BatchItem(error=f"{type(err).__name__}: {err}",
                              error_type=type(err))
 
     if parallelism == 1 or len(requests) <= 1:

@@ -19,6 +19,8 @@ from .volume import LUNG, NODULE, CropRegion, SemanticLayout
 SIZE_CLASSES = ("small", "medium", "large")
 MIN_LUNG_OVERLAP = 0.9
 MIN_LUNG_FRAC = 0.05
+PLACE_TRIES = 100   # centres place_nodule tries for one spec
+CROP_TRIES = 1000   # origins pick_healthy_crop tries
 
 
 def _real_tuple(value, shape):
@@ -140,18 +142,18 @@ def _ellipsoid_box(spec, center, dims, spacing):
     return tuple(slice(l, h) for l, h in zip(lo, hi)), inside
 
 
-def place_nodule(spec, lung, spacing, rng, max_tries=100):
+def place_nodule(spec, lung, spacing, rng):
     """Place the ellipsoid at a random center with >= MIN_LUNG_OVERLAP of
     its voxels on lung labels.  Returns a new layout with nodule labels added.
 
     Only the ellipsoid's bounding box is rasterized and counted.  Raises
-    PlacementError after ``max_tries`` failed placements (the caller may
+    PlacementError after PLACE_TRIES failed placements (the caller may
     resample the spec).
     """
     lung_flat = np.flatnonzero(lung.labels == LUNG)
     if len(lung_flat) == 0:
         raise PlacementError("layout contains no lung-labeled voxels")
-    for _ in range(max_tries):
+    for _ in range(PLACE_TRIES):
         center = np.array(np.unravel_index(
             lung_flat[rng.integers(len(lung_flat))], lung.dims), np.float64)
         sl, inside = _ellipsoid_box(spec, center, lung.dims, spacing)
@@ -166,22 +168,22 @@ def place_nodule(spec, lung, spacing, rng, max_tries=100):
         return SemanticLayout(labels, lung.spacing)
     raise PlacementError(
         f"no valid placement for {spec.diameter_mm:.1f} mm nodule "
-        f"after {max_tries} tries")
+        f"after {PLACE_TRIES} tries")
 
 
-def pick_healthy_crop(layout, existing_nodules, size, rng, max_tries=1000):
+def pick_healthy_crop(layout, existing_nodules, size, rng):
     """Uniformly pick a crop region free of existing nodule voxels and
     overlapping lung labels in at least MIN_LUNG_FRAC of its voxels.
 
     Rejection sampling over valid origins; raises SearchExhaustedError
-    when the attempt budget runs out.
+    after CROP_TRIES attempts.
     """
     dims = layout.dims
     size = tuple(int(v) for v in size)
     if any(sz > d for d, sz in zip(dims, size)):
         raise ValidationError(f"crop size {size} exceeds layout dims {dims}")
     n_vox = int(np.prod(size))
-    for _ in range(max_tries):
+    for _ in range(CROP_TRIES):
         origin = tuple(int(rng.integers(0, d - sz + 1))
                        for d, sz in zip(dims, size))
         region = CropRegion(origin, size)
@@ -195,4 +197,4 @@ def pick_healthy_crop(layout, existing_nodules, size, rng, max_tries=1000):
             continue
         return region
     raise SearchExhaustedError(
-        f"no nodule-free crop of size {size} found in {max_tries} attempts")
+        f"no nodule-free crop of size {size} found in {CROP_TRIES} attempts")

@@ -59,7 +59,7 @@ def _flow_rhs(x, lam, mu, var):
     return -ab * x + alpha * x0
 
 
-def reference_solve(x_start, lam_start, lam_end, mu, var, n_steps=100_000):
+def reference_solve(x_start, lam_start, lam_end, mu, var, n_steps):
     """Integrate the flow with classic RK4 over a uniform lambda grid."""
     x = np.asarray(x_start, dtype=np.float64).copy()
     h = (lam_end - lam_start) / n_steps
@@ -94,9 +94,12 @@ def convergence_study(s, mu=0.3, var=0.25,
     solves with the analytic Gaussian predictor at each (order, steps),
     and compares against a single shared high-resolution reference
     solution.  Returns one :class:`ConvergenceResult` per order.
-    Raises ValidationError for T < T_START or a repeated or < 1 step count.
+    Raises ValidationError, before any solve, for T < T_START, an order
+    outside 1-3, or a repeated or < 1 step count.
     """
     check_seed(seed)
+    if not all(is_int(o) and o in (1, 2, 3) for o in orders):
+        raise ValidationError(f"orders must be from 1, 2, 3, got {orders!r}")
     if len(set(steps_list)) < len(steps_list) or not all(
             is_int(n) and n >= 1 for n in steps_list):
         raise ValidationError(

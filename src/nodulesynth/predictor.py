@@ -178,14 +178,32 @@ def _taps(padded):
     return offsets, (P1 - 3) * s1 + (P2 - 3) * s2 + P3 - 2
 
 
-def _correlate(layout, w, product, alloc, slot):
-    """"Valid" 3^3 correlation of a flat layout with w (Cout, Cin, 3, 3, 3):
-    the output is the padded dims less 2 per axis, that is the input's
-    dims less one voxel per cut face.  ``product(w_k, slice, out=tap)``
-    multiplies one tap's (Cout, Cin) matrix into a (Cin, L) slice,
-    writing the (Cout, L) result into ``tap``.  Each voxel sums its taps
-    in (dz, dy, dx) order, starting from zero in a buffer from
-    ``alloc(slot, ...)``; the returned view of it drops the pad columns.
+_einsum_product = partial(np.einsum, "oi,il->ol")
+
+
+def _blas_product(a, b, out=None):
+    # A one-column product (one channel upstream) is an outer product,
+    # which OpenBLAS runs ~5x slower than a broadcast multiply.
+    return (np.multiply if a.shape[1] == 1 else np.matmul)(a, b, out=out)
+
+
+def _conv3d(layout, w, b=None, *, product, alloc=_fresh, slot=None):
+    """3^3 convolution of the input x (Cin, Z, Y, X) given as
+    ``_flat_layout(x, cut)``; w: (Cout, Cin, 3, 3, 3).  The output is
+    "same"-padded on every face not cut and one voxel smaller on every
+    cut face; with no cut it is the "same" convolution.
+
+    ``product(w_k, slice, out=tap)`` multiplies one tap's (Cout, Cin)
+    matrix into a (Cin, L) slice, writing the (Cout, L) result into
+    ``tap``.  Only inference bytes are pinned (golden hashes), so only
+    inference passes ``_einsum_product``: it is bit-identical to 27
+    shifted-view ``einsum("oi,izyx->ozyx")`` calls, where BLAS blocking
+    and FMA round differently.  Training passes ``_blas_product``, as
+    the backward does.
+
+    Each voxel sums its taps in (dz, dy, dx) order, starting from zero
+    in a buffer from ``alloc(slot, ...)``; the bias ``b`` is added after
+    the sum, and the returned view of the buffer drops the pad columns.
     The caller and, while a core is idle, one task on the spare worker
     (``spare.submit``) take blocks of ``_BLOCK`` columns from one
     iterator; a layer of one block runs on the caller alone.  Each
@@ -215,40 +233,18 @@ def _correlate(layout, w, product, alloc, slot):
         run(np.empty(size))
     finally:
         settle(task)
-    return out.reshape(-1, P1 - 2, P2, P3)[:, :, :P2 - 2, :P3 - 2]
-
-
-_einsum_product = partial(np.einsum, "oi,il->ol")
-
-
-def _blas_product(a, b, out=None):
-    # A one-column product (one channel upstream) is an outer product,
-    # which OpenBLAS runs ~5x slower than a broadcast multiply.
-    return (np.multiply if a.shape[1] == 1 else np.matmul)(a, b, out=out)
-
-
-def _conv3d(layout, w, b=None, *, product, alloc=_fresh, slot=None):
-    """3^3 convolution of the input x (Cin, Z, Y, X) given as
-    ``_flat_layout(x, cut)``; w: (Cout, Cin, 3, 3, 3).  The output is
-    "same"-padded on every face not cut and one voxel smaller on every
-    cut face; with no cut it is the "same" convolution.
-
-    Only inference bytes are pinned (golden hashes), so only inference
-    passes ``_einsum_product``: it is bit-identical to 27 shifted-view
-    ``einsum("oi,izyx->ozyx")`` calls, where BLAS blocking and FMA round
-    differently.  Training passes ``_blas_product``, as the backward does.
-    """
-    out = _correlate(layout, w, product, alloc, slot)
+    z = out.reshape(-1, P1 - 2, P2, P3)[:, :, :P2 - 2, :P3 - 2]
     if b is not None:
-        out += b[:, None, None, None]
-    return out
+        z += b[:, None, None, None]
+    return z
 
 
 def _conv3d_grad_x(w, glayout, alloc=_fresh, slot=None):
     """Gradient of _conv3d w.r.t. its input from gout's flat layout, on
     BLAS: gout correlated with the channel-transposed, flipped kernel."""
     flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-    return _correlate(glayout, flipped, _blas_product, alloc, slot)
+    return _conv3d(glayout, flipped, product=_blas_product, alloc=alloc,
+                   slot=slot)
 
 
 def _conv3d_grad_w(layout, glayout):
@@ -315,19 +311,14 @@ class TinyConvPredictor(NoisePredictor):
     def __init__(self, seed=None):
         super().__init__()
         self._workspaces = defaultdict(_Workspace)  # see loss_and_grads
-        self.params = {}
-        if seed is None:
-            for name, shape in self.SHAPES:
-                self.params[name] = np.zeros(shape)
-        else:
+        self.params = {name: np.zeros(shape) for name, shape in self.SHAPES}
+        if seed is not None:
             check_seed(seed)
             rng = np.random.default_rng(seed)
             for name, shape in self.SHAPES:
                 if name.startswith("w"):
                     fan_in = int(np.prod(shape[1:]))
                     self.params[name] = rng.standard_normal(shape) / np.sqrt(fan_in)
-                else:
-                    self.params[name] = np.zeros(shape)
 
     @property
     def n_params(self):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .schedule import check_seed
+from .schedule import check_seed, is_int
 
 BACKGROUND, LUNG, NODULE = 0, 1, 2
 
@@ -109,6 +109,9 @@ class CropRegion:
     size: tuple
 
     def __post_init__(self):
+        if not all(map(is_int, (*self.origin, *self.size))):
+            raise ValidationError(f"origin and size must be integers, got "
+                                  f"{self.origin!r}, {self.size!r}")
         origin = tuple(int(v) for v in self.origin)
         size = tuple(int(v) for v in self.size)
         if any(v < 0 for v in origin):
@@ -165,9 +168,10 @@ def make_phantom(seed, dims):
     voxels alone.  Returns (VoxelVolume, SemanticLayout) with lung
     voxels labeled.  Deterministic given the seed.
     """
+    if len(dims) != 3 or not all(is_int(d) and d >= 16 for d in dims):
+        raise ValidationError(
+            f"phantom dims must be integers >= (16, 16, 16), got {dims!r}")
     dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 16 for d in dims):
-        raise ValidationError(f"phantom dims must be >= (16, 16, 16), got {dims}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     nz, ny, nx = dims

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
 from bench_pairs import (benchmark_digest, quartiles, settings,  # noqa: E402
-                         summarize, summarize_faults)
+                         source_lines, summarize, summarize_faults)
 
 METRICS = {"fast": "lower", "busy": "higher"}
 
@@ -125,3 +125,31 @@ def test_mismatched_trees_stop_before_any_run(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="differ"):
         bench_pairs.main()
     assert not (tmp_path / "out.json").exists()
+
+
+def test_source_lines_counts_raw_and_code_only_lines(tmp_path):
+    pkg = tmp_path / "src" / "nodulesynth"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module docstring\nover two lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "X = 1  # a trailing comment\n"
+        "def f(a,\n"
+        "      b):\n"
+        '    """Docstring."""\n'
+        "\n"
+        '    return """a string\n'
+        'that is code"""\n')
+    (pkg / "b.py").write_text("Y = 2\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "c.py").write_text("Z = 3\n")
+    # Code: X, f's two signature lines, the return's two lines, and Y.
+    assert source_lines(tmp_path) == {"raw": 12, "code": 6}
+
+
+def test_source_lines_raw_count_is_wc_l_of_the_package():
+    files = (ROOT / "src" / "nodulesynth").rglob("*.py")
+    got = source_lines(ROOT)
+    assert got["raw"] == sum(p.read_text().count("\n") for p in files)
+    assert 0 < got["code"] < got["raw"]

@@ -1,10 +1,12 @@
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nodulesynth import layout as layout_mod
 from nodulesynth.errors import (PlacementError, SearchExhaustedError,
                                ValidationError)
 from nodulesynth.layout import (SIZE_CLASSES, EllipsoidSpec, LayoutConfig,
@@ -174,8 +176,11 @@ def test_place_nodule_exhausts_tries(rng):
     labels[8, 8, 8] = LUNG
     lung = SemanticLayout(labels)
     spec = EllipsoidSpec("large", (10.0, 10.0, 10.0), (0.0, 0.0, 0.0))
-    with pytest.raises(PlacementError, match="tries"):
-        place_nodule(spec, lung, (1.0, 1.0, 1.0), rng, max_tries=20)
+    with patch.object(layout_mod, "PLACE_TRIES", 20), \
+            pytest.raises(PlacementError, match="after 20 tries"):
+        place_nodule(spec, lung, (1.0, 1.0, 1.0), rng)
+    with pytest.raises(PlacementError, match="after 100 tries"):
+        place_nodule(spec, lung, (1.0, 1.0, 1.0), rng)
 
 
 def _meshgrid_mask(spec, center, dims, spacing):
@@ -254,7 +259,7 @@ def _outcome(place, *args):
 
 # The crops cut the lung fields, so nodules land on the crop border; a
 # lung slab flush with the layout's faces does the same on purpose, and
-# large nodules in small crops exhaust max_tries.
+# large nodules in small crops exhaust the patched PLACE_TRIES.
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), size_class=st.integers(0, 2),
        origin=st.tuples(*[st.integers(0, 32)] * 3),
@@ -276,7 +281,8 @@ def test_place_nodule_matches_full_mask_oracle(phantom_lung, seed, size_class,
     spec = sample_nodule_spec(LayoutConfig(class_probs=probs),
                               np.random.default_rng(seed))
     got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in range(2))
-    got = _outcome(place_nodule, spec, lung, spacing, got_rng, max_tries)
+    with patch.object(layout_mod, "PLACE_TRIES", max_tries):
+        got = _outcome(place_nodule, spec, lung, spacing, got_rng)
     want = _outcome(_full_mask_place, spec, lung, spacing, want_rng,
                     max_tries)
     if isinstance(want, str):
@@ -334,10 +340,11 @@ def test_pick_healthy_crop_matches_full_mask_reference(
     size = tuple(data.draw(st.integers(1, d)) for d in dims)
     existing = layout if with_nodules else None
     got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in range(2))
-    try:
-        got = pick_healthy_crop(layout, existing, size, got_rng, max_tries)
-    except SearchExhaustedError as err:
-        got = str(err)
+    with patch.object(layout_mod, "CROP_TRIES", max_tries):
+        try:
+            got = pick_healthy_crop(layout, existing, size, got_rng)
+        except SearchExhaustedError as err:
+            got = str(err)
     assert got == _full_mask_crop(layout, existing, size, want_rng,
                                   max_tries)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -346,8 +353,11 @@ def test_pick_healthy_crop_matches_full_mask_reference(
 def test_pick_healthy_crop_exhausted(rng):
     labels = np.full((8, 8, 8), NODULE, dtype=np.uint8)
     layout = SemanticLayout(labels)
-    with pytest.raises(SearchExhaustedError):
-        pick_healthy_crop(layout, layout, (4, 4, 4), rng, max_tries=50)
+    with patch.object(layout_mod, "CROP_TRIES", 50), \
+            pytest.raises(SearchExhaustedError, match="in 50 attempts"):
+        pick_healthy_crop(layout, layout, (4, 4, 4), rng)
+    with pytest.raises(SearchExhaustedError, match="in 1000 attempts"):
+        pick_healthy_crop(layout, layout, (4, 4, 4), rng)
 
 
 def test_pick_healthy_crop_size_validation(rng):

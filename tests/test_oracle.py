@@ -59,6 +59,17 @@ def test_convergence_study_rejects_bad_step_counts(cosine1000, monkeypatch,
         convergence_study(cosine1000, steps_list=steps_list)
 
 
+@pytest.mark.parametrize("orders", [(4,), (1, 0), (2.0,), (True,)])
+def test_convergence_study_rejects_bad_orders(cosine1000, monkeypatch,
+                                              orders):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference solve ran")
+
+    monkeypatch.setattr(oracle, "reference_solve", no_reference)
+    with pytest.raises(ValidationError, match="orders must be from 1, 2, 3"):
+        convergence_study(cosine1000, orders=orders, steps_list=(8, 16))
+
+
 def test_write_convergence_csv(tmp_path):
     res = [ConvergenceResult(order=1, steps=(8, 16), errors=(0.1, 0.05),
                              slope=1.0)]

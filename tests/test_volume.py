@@ -69,6 +69,15 @@ def test_wrapping_leaves_callers_array_writable():
 def test_crop_region_validation():
     with pytest.raises(ValueError):
         CropRegion((-1, 0, 0), (2, 2, 2))
+    # Non-integers are rejected, not truncated.
+    for origin, size in [((0.5, 0, 0), (2, 2, 2)), ((0.7, 0, 0), (2.9, 2, 2)),
+                         ((0, 0, 0), (2, 2.0, 2)), ((0, True, 0), (2, 2, 2)),
+                         (("0", 0, 0), (2, 2, 2))]:
+        with pytest.raises(ValidationError, match="must be integers"):
+            CropRegion(origin, size)
+    r = CropRegion(np.arange(3), np.full(3, 2))
+    assert r.origin == (0, 1, 2) and r.size == (2, 2, 2)
+    assert {type(v) for v in r.origin + r.size} == {int}
     with pytest.raises(ValueError):
         CropRegion((0, 0, 0), (0, 2, 2))
     r = CropRegion((1, 2, 3), (2, 2, 2))
@@ -282,3 +291,7 @@ def test_make_phantom_memory_peak():
 def test_make_phantom_validation():
     with pytest.raises(ValueError):
         make_phantom(0, (8, 8, 8))
+    for dims in [(16.5, 16, 16), (16.9, 16, 16), ("x", 16, 16),
+                 (16, 16.0, 16), (16, 16), (16, 16, 16, 16)]:
+        with pytest.raises(ValidationError, match="phantom dims must be"):
+            make_phantom(0, dims)

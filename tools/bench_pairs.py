@@ -30,10 +30,14 @@ Two measurements, each in fresh processes:
   first.  Per workload: each metric's runs, quartiles and the pairs the
   change wins (ties count for neither side), failures against attempts,
   and the pairs whose per-output digests are equal.
+
+It also records each tree's ``src/nodulesynth`` line counts (see
+:func:`source_lines`).
 """
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -42,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 PAIRS = 10
@@ -84,6 +89,34 @@ def benchmark_digest(tree):
         digest.update(str(path.relative_to(tree)).encode() + b"\0")
         digest.update(path.read_bytes() + b"\0")
     return digest.hexdigest()
+
+
+def source_lines(tree):
+    """``{"raw", "code"}`` line counts of the ``.py`` files under
+    ``tree``'s ``src/nodulesynth``.  ``raw`` counts newlines, as
+    ``wc -l`` does.  ``code`` counts the lines that hold a token of a
+    statement, so it leaves out blank lines, comment lines and
+    docstrings: a statement that is one string alone."""
+    raw = code = 0
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+    for path in sorted((tree / "src" / "nodulesynth").rglob("*.py")):
+        text = path.read_text()
+        raw += text.count("\n")
+        lines, statement = set(), []
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type in skip:
+                continue
+            if tok.type != tokenize.NEWLINE:
+                statement.append(tok)
+                continue
+            if not (len(statement) == 1
+                    and statement[0].type == tokenize.STRING):
+                for t in statement:
+                    lines.update(range(t.start[0], t.end[0] + 1))
+            statement = []
+        code += len(lines)
+    return {"raw": raw, "code": code}
 
 
 def settings(tree):
@@ -206,6 +239,8 @@ def main():
     names, metrics, seconds = settings(trees["change"])
     first = {w: args.seed + SEED_STRIDE * i for i, w in enumerate(names)}
     bench = {"machine": machine(), "benchmark_sha256": digests["change"],
+             "source_lines": {side: source_lines(tree)
+                              for side, tree in trees.items()},
              "faults": {}, "pairs": {}}
     for workload, seed in first.items():
         got = {side: [] for side in trees}
