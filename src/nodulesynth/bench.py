@@ -17,7 +17,7 @@ import numpy as np
 from .eaas import run_eaas
 from .errors import NoduleSynthError, ValidationError
 from .predictor import TinyConvPredictor
-from .schedule import is_int
+from .schedule import check_int
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,8 @@ def run_bench(name, request, n_trials=10, warmup=1):
     ``ValidationError`` included) is skipped, and the report needs one
     success.  Any other exception is a bug and propagates.
     """
-    if not is_int(n_trials) or n_trials < 1:
-        raise ValidationError(
-            f"n_trials must be an integer >= 1, got {n_trials!r}")
-    if not is_int(warmup) or warmup < 0:
-        raise ValidationError(
-            f"warmup must be an integer >= 0, got {warmup!r}")
+    check_int("n_trials", n_trials, 1)
+    check_int("warmup", warmup, 0)
 
     def seeded(k):
         return replace(request, seed=request.seed + k)

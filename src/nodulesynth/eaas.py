@@ -28,7 +28,7 @@ from .errors import NoduleSynthError, PlacementError, ValidationError
 from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
-from .schedule import check_seed, is_int
+from .schedule import check_int, check_seed, is_int
 from .solver import (SolverConfig, eval_region, expected_nfe,
                      make_time_grid, noise_draws, pulmonary_solve,
                      start_time)
@@ -257,9 +257,7 @@ def run_batch(requests, parallelism=1):
     other exception is a bug and propagates.
     """
     requests = list(requests)
-    if not is_int(parallelism) or parallelism < 1:
-        raise ValidationError(
-            f"parallelism must be an integer >= 1, got {parallelism!r}")
+    check_int("parallelism", parallelism, 1)
 
     def one(req):
         try:

@@ -8,10 +8,8 @@ class NoduleSynthError(Exception):
 class FormatError(NoduleSynthError):
     """Malformed binary file (bad magic, truncation, size mismatch)."""
 
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (at byte offset {offset})"
-        super().__init__(message)
+    def __init__(self, message, offset):
+        super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
 
 

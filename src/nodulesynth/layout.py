@@ -179,9 +179,9 @@ def pick_healthy_crop(layout, existing_nodules, size, rng):
     after CROP_TRIES attempts.
     """
     dims = layout.dims
-    size = tuple(int(v) for v in size)
-    if any(sz > d for d, sz in zip(dims, size)):
-        raise ValidationError(f"crop size {size} exceeds layout dims {dims}")
+    whole = CropRegion((0, 0, 0), size)  # the box rule, before any draw
+    whole.validate_within(dims)
+    size = whole.size
     n_vox = int(np.prod(size))
     for _ in range(CROP_TRIES):
         origin = tuple(int(rng.integers(0, d - sz + 1))

@@ -20,12 +20,13 @@ from scipy.special import expit
 from .errors import (FormatError, SolverError, TrainingError,
                      ValidationError)
 from .forward import q_sample
-from .schedule import check_seed, is_finite_real, is_int
+from .schedule import check_int, check_seed, is_finite_real
 from .spare import counted_request, settle, submit
-from .volume import NO_CUT, VoxelVolume
+from .volume import NO_CUT, VoxelVolume, read_binary, write_binary
 
 _CKPT_MAGIC = b"LDPW"
-_CKPT_VERSION = 1
+# After the magic and the version: the parameter count; then f32 weights.
+_CKPT_HEADER = struct.Struct("<4sII")
 
 
 # Receptive-field radius shared by every predictor, in voxels of
@@ -449,32 +450,23 @@ class TinyConvPredictor(NoisePredictor):
 
     def save(self, path):
         flat = self.get_flat().astype("<f4")
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sII", _CKPT_MAGIC, _CKPT_VERSION, flat.size))
-            fh.write(flat.tobytes())
+        write_binary(path, _CKPT_HEADER, _CKPT_MAGIC, (flat.size,), flat)
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) < 12:
-            raise FormatError(f"truncated checkpoint header: {len(raw)} bytes",
-                              offset=len(raw))
-        magic, version, count = struct.unpack_from("<4sII", raw)
-        if magic != _CKPT_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {_CKPT_MAGIC!r}",
-                              offset=0)
-        if version != _CKPT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-        if len(raw) != 12 + 4 * count:
-            raise FormatError(
-                f"checkpoint payload mismatch: expected {12 + 4 * count} bytes, "
-                f"got {len(raw)}", offset=12)
+        """Read a checkpoint; raises FormatError for a malformed file, a
+        parameter count other than the net's or a non-finite weight."""
+        (count,), flat = read_binary(path, _CKPT_HEADER, _CKPT_MAGIC, "<f4",
+                                     lambda fields: fields[0])
         p = cls()
         if count != p.n_params:
             raise FormatError(f"checkpoint holds {count} parameters, the net "
                               f"has {p.n_params}", offset=8)
-        p.set_flat(np.frombuffer(raw, "<f4", offset=12).astype(np.float64))
+        i = int(np.argmin(np.isfinite(flat)))  # the first non-finite, if any
+        if not np.isfinite(flat[i]):
+            raise FormatError(f"non-finite weight {flat[i]} at index {i}",
+                              offset=_CKPT_HEADER.size + 4 * i)
+        p.set_flat(flat.astype(np.float64))
         return p
 
 
@@ -528,9 +520,7 @@ def train(p, dataset, s, epochs, lr=1e-3, seed=0):
     dataset = list(dataset)
     if not dataset:
         raise ValidationError("dataset holds no (patch, layout) pair")
-    if not is_int(epochs) or epochs < 0:
-        raise ValidationError(
-            f"epochs must be an integer >= 0, got {epochs!r}")
+    check_int("epochs", epochs, 0)
     if not (is_finite_real(lr) and lr > 0):
         raise ValidationError(
             f"lr must be a positive real number, got {lr!r}")

@@ -95,6 +95,13 @@ def is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def check_int(name, value, low):
+    """Raise ValidationError unless ``value`` is an integer >= ``low``."""
+    if not is_int(value) or value < low:
+        raise ValidationError(
+            f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def check_seed(seed):
     """Raise ValidationError unless ``seed`` is a non-negative integer."""
     if not is_int(seed) or seed < 0:
@@ -124,8 +131,7 @@ def make_schedule(kind="cosine", T=1000):
     clipped to (0, 0.999]; alpha_bar is then the running product of
     (1 - beta) so the variance-preserving identity holds exactly.
     """
-    if not is_int(T) or T < 2:
-        raise ValidationError(f"T must be an integer >= 2, got {T!r}")
+    check_int("T", T, 2)
     T = int(T)
 
     if kind == "cosine":

@@ -51,7 +51,7 @@ from .errors import SolverError, ValidationError
 # q_sample is not called here; perfbench traces solver.q_sample by name.
 from .forward import diffuse, q_sample  # noqa: F401
 from .predictor import HALO
-from .schedule import is_finite_real, is_int
+from .schedule import check_int, is_finite_real, is_int
 from .volume import CropRegion, VoxelVolume
 
 _METHOD_ORDER = {"dpm1": 1, "dpm2_multistep": 2, "dpm3": 3}
@@ -71,9 +71,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("ancestral", *_METHOD_ORDER):
             raise ValidationError(f"unknown solver method {self.method!r}")
-        if not is_int(self.steps) or self.steps < 1:
-            raise ValidationError(
-                f"steps must be an integer >= 1, got {self.steps!r}")
+        check_int("steps", self.steps, 1)
         if self.t_start is not None and not is_int(self.t_start):
             raise ValidationError(
                 f"t_start must be an integer or None, got {self.t_start!r}")

@@ -4,11 +4,11 @@ Intensities live in normalized units in [-1, 1].  Voxel order is z-major
 (z outermost, x innermost) everywhere, which fixes the byte order of the
 binary format.
 
-Binary format (little-endian): magic ``LDPV``, u32 version=1, u32 dtype
-(0 = f32 intensities, 1 = u8 labels), u32 x 3 dims (nz, ny, nx),
-f32 x 3 spacing in mm, then the payload in z-major order.  Intensities
-are stored as f32, so volumes whose in-memory values originate from f32
-round-trip bit-exactly.
+Binary files (little-endian) open with magic and u32 version=1
+(:func:`write_binary`).  Volumes and layouts (magic ``LDPV``) then hold
+u32 dtype (0 = f32 intensities, 1 = u8 labels), u32 x 3 dims (nz, ny,
+nx), f32 x 3 spacing in mm and the payload in z-major order, with
+intensities as f32: values that originate from f32 round-trip exactly.
 """
 
 import math
@@ -25,7 +25,25 @@ BACKGROUND, LUNG, NODULE = 0, 1, 2
 _MAGIC = b"LDPV"
 _VERSION = 1
 _DTYPE_F32, _DTYPE_U8 = 0, 1
+_DTYPES = {_DTYPE_F32: "<f4", _DTYPE_U8: "u1"}
 _HEADER = struct.Struct("<4sIIIIIfff")
+
+
+def _set_grid(grid, name, dtype, what):
+    """Set ``grid``'s field ``name`` to a read-only ``dtype`` view (no
+    copy; the caller's array stays writable) and its spacing to 3 floats,
+    or raise ValidationError unless the view (``what``) is 3D and the
+    spacing 3 positive finite numbers.  Returns the view."""
+    arr = np.asarray(getattr(grid, name), dtype=dtype).view()
+    if arr.ndim != 3:
+        raise ValidationError(f"{what} must be 3D, got shape {arr.shape}")
+    spacing = tuple(float(s) for s in grid.spacing)
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ValidationError(f"spacing must be 3 positive finite floats, got {grid.spacing}")
+    arr.setflags(write=False)
+    object.__setattr__(grid, name, arr)
+    object.__setattr__(grid, "spacing", spacing)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -39,18 +57,9 @@ class VoxelVolume:
     spacing: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        # A read-only view: no copy, and the caller's array stays writable.
-        data = np.asarray(self.data, dtype=np.float64).view()
-        if data.ndim != 3:
-            raise ValidationError(f"volume data must be 3D, got shape {data.shape}")
+        data = _set_grid(self, "data", np.float64, "volume data")
         if not np.all(np.isfinite(data)):
             raise ValidationError("volume data contains non-finite values")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
-            raise ValidationError(f"spacing must be 3 positive finite floats, got {self.spacing}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing", spacing)
 
     @property
     def dims(self):
@@ -77,20 +86,12 @@ class SemanticLayout:
     cut: tuple = NO_CUT
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.uint8).view()
-        if labels.ndim != 3:
-            raise ValidationError(f"layout labels must be 3D, got shape {labels.shape}")
+        labels = _set_grid(self, "labels", np.uint8, "layout labels")
         if labels.size and labels.max() > NODULE:
             raise ValidationError("layout labels must be in {0, 1, 2}")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
-            raise ValidationError(f"spacing must be 3 positive finite floats, got {self.spacing}")
         cut = tuple((bool(lo), bool(hi)) for lo, hi in self.cut)
         if len(cut) != 3:
             raise ValidationError(f"cut must be 3 (low, high) pairs, got {self.cut}")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "cut", cut)
 
     @property
@@ -109,9 +110,10 @@ class CropRegion:
     size: tuple
 
     def __post_init__(self):
-        if not all(map(is_int, (*self.origin, *self.size))):
-            raise ValidationError(f"origin and size must be integers, got "
-                                  f"{self.origin!r}, {self.size!r}")
+        if not (len(self.origin) == len(self.size) == 3
+                and all(map(is_int, (*self.origin, *self.size)))):
+            raise ValidationError(f"origin and size must be integers, 3 each, "
+                                  f"got {self.origin!r}, {self.size!r}")
         origin = tuple(int(v) for v in self.origin)
         size = tuple(int(v) for v in self.size)
         if any(v < 0 for v in origin):
@@ -214,43 +216,52 @@ def make_phantom(seed, dims):
     return VoxelVolume(data, (1.0, 1.0, 1.0)), SemanticLayout(labels, (1.0, 1.0, 1.0))
 
 
-def _write(path, arr, spacing, dtype_code):
-    nz, ny, nx = arr.shape
-    header = _HEADER.pack(_MAGIC, _VERSION, dtype_code, nz, ny, nx, *spacing)
+def write_binary(path, head, magic, fields, payload):
+    """Write ``head`` packed from ``magic``, version 1 and ``fields``,
+    then ``payload``'s bytes in C order."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.tobytes(order="C"))
+        fh.write(head.pack(magic, _VERSION, *fields))
+        fh.write(payload.tobytes())
 
 
-def _read(path, expect_dtype):
+def read_binary(path, head, magic, dtype, count):
+    """(header fields after magic and version, payload as ``dtype``) of a
+    :func:`write_binary` file; ``count(fields)`` is the payload's item
+    count.  Raises FormatError for a short header, another magic or
+    version, or a payload of another size."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _HEADER.size:
+    if len(raw) < head.size:
         raise FormatError(f"truncated header: {len(raw)} bytes", offset=len(raw))
-    magic, version, dtype_code, nz, ny, nx, sz, sy, sx = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
+    got, version, *fields = head.unpack_from(raw)
+    if got != magic:
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=0)
     if version != _VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    if dtype_code != expect_dtype:
-        raise FormatError(
-            f"dtype code {dtype_code}, expected {expect_dtype}", offset=8)
-    n_vox = nz * ny * nx
-    if n_vox <= 0 or n_vox > 2 ** 31:
-        raise FormatError(f"dimension overflow: {(nz, ny, nx)}", offset=12)
-    itemsize = 4 if dtype_code == _DTYPE_F32 else 1
-    expected = _HEADER.size + n_vox * itemsize
+    expected = head.size + count(fields) * np.dtype(dtype).itemsize
     if len(raw) != expected:
-        raise FormatError(
-            f"payload size mismatch: expected {expected} bytes total "
-            f"for dims {(nz, ny, nx)}, got {len(raw)}", offset=_HEADER.size)
-    np_dtype = np.dtype("<f4") if dtype_code == _DTYPE_F32 else np.dtype("u1")
-    payload = np.frombuffer(raw, dtype=np_dtype, offset=_HEADER.size)
-    return payload.reshape(nz, ny, nx), (sz, sy, sx)
+        raise FormatError(f"payload size mismatch: expected {expected} bytes "
+                          f"total, got {len(raw)}", offset=head.size)
+    return fields, np.frombuffer(raw, dtype, offset=head.size)
+
+
+def _read(path, dtype_code):
+    def count(fields):
+        got, nz, ny, nx = fields[:4]
+        if got != dtype_code:
+            raise FormatError(f"dtype code {got}, expected {dtype_code}", offset=8)
+        if not 0 < nz * ny * nx <= 2 ** 31:
+            raise FormatError(f"dimension overflow: {(nz, ny, nx)}", offset=12)
+        return nz * ny * nx
+
+    (_, *dims, sz, sy, sx), payload = read_binary(
+        path, _HEADER, _MAGIC, _DTYPES[dtype_code], count)
+    return payload.reshape(dims), (sz, sy, sx)
 
 
 def write_volume(v, path):
-    _write(path, v.data.astype("<f4"), v.spacing, _DTYPE_F32)
+    write_binary(path, _HEADER, _MAGIC, (_DTYPE_F32, *v.dims, *v.spacing),
+                 v.data.astype("<f4"))
 
 
 def read_volume(path):
@@ -259,7 +270,8 @@ def read_volume(path):
 
 
 def write_layout(layout, path):
-    _write(path, layout.labels, layout.spacing, _DTYPE_U8)
+    write_binary(path, _HEADER, _MAGIC, (_DTYPE_U8, *layout.dims,
+                                         *layout.spacing), layout.labels)
 
 
 def read_layout(path):

@@ -7,8 +7,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
-from bench_pairs import (benchmark_digest, quartiles, settings,  # noqa: E402
-                         source_lines, summarize, summarize_faults)
+from bench_pairs import (benchmark_digest, quartiles,  # noqa: E402
+                         settable_values, settings, source_lines, summarize,
+                         summarize_faults)
 
 METRICS = {"fast": "lower", "busy": "higher"}
 
@@ -153,3 +154,31 @@ def test_source_lines_raw_count_is_wc_l_of_the_package():
     got = source_lines(ROOT)
     assert got["raw"] == sum(p.read_text().count("\n") for p in files)
     assert 0 < got["code"] < got["raw"]
+
+
+def test_settable_values_count_defaults_of_parameters_and_dataclass_fields(
+        tmp_path):
+    pkg = tmp_path / "src" / "nodulesynth"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *args, c, d=2, **kw):\n"   # b, d
+        "    g = lambda x, y=3: x + y\n"          # y
+        "    return g\n"
+        "class Plain:\n"
+        "    x: int = 1\n"                        # not a dataclass
+        "    def m(self, k=None):\n"              # k
+        "        pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    a: int\n"
+        "    b: int = 0\n"                        # b
+        "    C = 5\n"                             # not a field
+        "@dataclasses.dataclass\n"
+        "class Dotted:\n"
+        "    a: tuple = ()\n")                    # a
+    (pkg / "b.py").write_text("def h(x=0):\n    pass\n")  # x
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "c.py").write_text("def t(x=0):\n    pass\n")
+    assert settable_values(tmp_path) == 7

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from nodulesynth.cli import build_parser, load_config, main
 from nodulesynth.eaas import _verify_fusion_locality
 from nodulesynth.errors import NoduleSynthError, ValidationError
 from nodulesynth.layout import LayoutConfig
-from nodulesynth.predictor import AnalyticGaussianPredictor
+from nodulesynth.predictor import AnalyticGaussianPredictor, TinyConvPredictor
 from nodulesynth.solver import SolverConfig
 from nodulesynth.volume import (LUNG, CropRegion, VoxelVolume, read_layout,
                                 read_volume, write_volume)
@@ -314,6 +315,22 @@ def test_train_then_sample(workdir):
                  "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
                  "--weights", str(workdir / "w.ldpw"),
                  "--out-prefix", str(workdir / "out2" / "s")]) == 0
+
+
+def test_sample_with_a_non_finite_weight_exits_4_and_writes_nothing(
+        workdir, capsys):
+    weights = workdir / "nan.ldpw"
+    TinyConvPredictor(seed=0).save(weights)
+    raw = bytearray(weights.read_bytes())
+    raw[12:16] = struct.pack("<f", math.nan)
+    weights.write_bytes(bytes(raw))
+    assert main(["sample", "--config", str(workdir / "cfg.json"),
+                 "--reference", str(workdir / "data" / "ph0.vol.ldpv"),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--weights", str(weights),
+                 "--out-prefix", str(workdir / "out" / "s")]) == 4
+    assert "non-finite weight" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def test_train_empty_data_dir(workdir, tmp_path):

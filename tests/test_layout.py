@@ -364,3 +364,11 @@ def test_pick_healthy_crop_size_validation(rng):
     layout = SemanticLayout(np.zeros((8, 8, 8), np.uint8))
     with pytest.raises(ValueError):
         pick_healthy_crop(layout, None, (16, 16, 16), rng)
+    # A fractional or two-axis size is rejected, not truncated, before
+    # any draw.
+    _, layout = make_phantom(0, (16, 16, 16))
+    state = rng.bit_generator.state
+    for size in [(4.9, 4, 4), (4, 4)]:
+        with pytest.raises(ValidationError, match="must be integers"):
+            pick_healthy_crop(layout, None, size, rng)
+    assert rng.bit_generator.state == state

@@ -771,9 +771,35 @@ def test_checkpoint_format_errors(tmp_path):
     with pytest.raises(FormatError, match="magic"):
         TinyConvPredictor.load(p)
     TinyConvPredictor(seed=0).save(p)
+    raw = bytearray(p.read_bytes())
+    raw[4] = 2
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="version") as err:
+        TinyConvPredictor.load(p)
+    assert err.value.offset == 4
+    TinyConvPredictor(seed=0).save(p)
     p.write_bytes(p.read_bytes()[:-4])
     with pytest.raises(FormatError, match="payload"):
         TinyConvPredictor.load(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, -1])
+def test_checkpoint_with_a_non_finite_weight(tmp_path, bad, index):
+    net = TinyConvPredictor(seed=0)
+    flat = net.get_flat()
+    i = index % flat.size
+    p = tmp_path / "w.ldpw"
+    net.save(p)
+    raw = bytearray(p.read_bytes())
+    raw[12 + 4 * i:16 + 4 * i] = struct.pack("<f", bad)
+    if index == 0:  # a later non-finite weight: the first one is named
+        raw[-4:] = struct.pack("<f", np.nan)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"non-finite weight .* index {i} "
+                       rf"\(at byte offset {12 + 4 * i}\)") as err:
+        TinyConvPredictor.load(p)
+    assert err.value.offset == 12 + 4 * i
 
 
 @pytest.mark.parametrize("count", [2, 3000])

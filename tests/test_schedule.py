@@ -1,11 +1,17 @@
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from nodulesynth import bench
+from nodulesynth.eaas import run_batch
+from nodulesynth.errors import ValidationError
+from nodulesynth.predictor import TinyConvPredictor, train
 from nodulesynth.schedule import (BETA_MAX, COSINE_OFFSET, LAMBDA_CAP,
                                   coefficients_of_lambda, make_schedule)
-from nodulesynth.solver import grid_from_times
+from nodulesynth.solver import SolverConfig, grid_from_times
 
 
 def test_cosine_alpha_bar_matches_closed_form(cosine1000):
@@ -156,3 +162,43 @@ def test_tables_are_readonly(cosine100):
                   cosine100.g2):
         with pytest.raises(ValueError):
             table[0] = 0.5
+
+
+class Reached(Exception):
+    """Raised by a stub that only runs once the count was accepted."""
+
+
+@dataclass(frozen=True)
+class _Request:
+    seed: int = 0
+
+
+def _stub_request(req):
+    raise Reached
+
+
+# Each count of the public API: (name, lowest value, call with it).
+INTEGER_COUNTS = [
+    ("T", 2, lambda v: make_schedule("cosine", v)),
+    ("steps", 1, lambda v: SolverConfig(steps=v)),
+    ("parallelism", 1, lambda v: run_batch([], parallelism=v)),
+    ("n_trials", 1, lambda v: bench.run_bench("x", _Request(), n_trials=v)),
+    ("warmup", 0, lambda v: bench.run_bench("x", _Request(), warmup=v)),
+    ("epochs", 0, lambda v: train(TinyConvPredictor(), [(None, None)], None,
+                                  epochs=v)),
+]
+
+
+@pytest.mark.parametrize("name,low,call", INTEGER_COUNTS,
+                         ids=[name for name, _, _ in INTEGER_COUNTS])
+def test_every_count_is_an_integer_at_or_above_its_floor(monkeypatch, name,
+                                                         low, call):
+    monkeypatch.setattr(bench, "run_eaas", _stub_request)
+    for bad in (True, 1.5, "3", low - 1):
+        message = f"{name} must be an integer >= {low}, got {bad!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call(bad)
+    try:
+        call(np.int64(low))
+    except Reached:
+        pass

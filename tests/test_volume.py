@@ -72,7 +72,10 @@ def test_crop_region_validation():
     # Non-integers are rejected, not truncated.
     for origin, size in [((0.5, 0, 0), (2, 2, 2)), ((0.7, 0, 0), (2.9, 2, 2)),
                          ((0, 0, 0), (2, 2.0, 2)), ((0, True, 0), (2, 2, 2)),
-                         (("0", 0, 0), (2, 2, 2))]:
+                         (("0", 0, 0), (2, 2, 2)),
+                         # Exactly three axes.
+                         ((0, 0), (2, 2)), ((0,) * 4, (2,) * 4),
+                         ((0, 0, 0), (2, 2)), ((0, 0), (2, 2, 2))]:
         with pytest.raises(ValidationError, match="must be integers"):
             CropRegion(origin, size)
     r = CropRegion(np.arange(3), np.full(3, 2))

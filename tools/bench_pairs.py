@@ -32,10 +32,12 @@ Two measurements, each in fresh processes:
   and the pairs whose per-output digests are equal.
 
 It also records each tree's ``src/nodulesynth`` line counts (see
-:func:`source_lines`).
+:func:`source_lines`) and count of settable values (see
+:func:`settable_values`).
 """
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -117,6 +119,33 @@ def source_lines(tree):
             statement = []
         code += len(lines)
     return {"raw": raw, "code": code}
+
+
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "attr", getattr(decorator, "id", None)) == \
+        "dataclass"
+
+
+def settable_values(tree):
+    """The settable values of the ``.py`` files under ``tree``'s
+    ``src/nodulesynth``: every parameter with a default (of a function,
+    method or lambda) and every field with a default of a class
+    decorated with ``dataclass``."""
+    count = 0
+    for path in sorted((tree / "src" / "nodulesynth").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif (isinstance(node, ast.ClassDef)
+                  and any(map(_is_dataclass, node.decorator_list))):
+                count += sum(isinstance(stmt, ast.AnnAssign)
+                             and stmt.value is not None
+                             for stmt in node.body)
+    return count
 
 
 def settings(tree):
@@ -241,6 +270,8 @@ def main():
     bench = {"machine": machine(), "benchmark_sha256": digests["change"],
              "source_lines": {side: source_lines(tree)
                               for side, tree in trees.items()},
+             "settable_values": {side: settable_values(tree)
+                                 for side, tree in trees.items()},
              "faults": {}, "pairs": {}}
     for workload, seed in first.items():
         got = {side: [] for side in trees}
