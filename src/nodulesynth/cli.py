@@ -27,7 +27,7 @@ from .errors import FormatError, NoduleSynthError, ValidationError
 from .layout import LayoutConfig
 from .predictor import (AnalyticGaussianPredictor, TinyConvPredictor, train,
                         write_loss_curve)
-from .schedule import make_schedule
+from .schedule import check_int, make_schedule
 from .solver import SolverConfig
 from .volume import (make_phantom, read_layout, read_volume, write_layout,
                      write_volume)
@@ -121,11 +121,8 @@ def cmd_sample(args):
     layout_cfg = LayoutConfig(**doc["layout"]) if doc.get("layout") else None
     patch_size = doc.get("patch_size", (32, 32, 32))
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if args.count < 0:
-        raise ValidationError(f"--count must be >= 0, got {args.count}")
-    if args.parallelism < 1:
-        raise ValidationError(
-            f"--parallelism must be >= 1, got {args.parallelism}")
+    check_int("--count", args.count, 0)
+    check_int("--parallelism", args.parallelism, 1)
 
     reference = read_volume(args.reference)
     lung_layout = read_layout(args.lung_layout)

@@ -28,7 +28,7 @@ from .errors import NoduleSynthError, PlacementError, ValidationError
 from .forward import invert_reference, masked_mix
 from .layout import (LayoutConfig, pick_healthy_crop, place_nodule,
                      sample_nodule_spec)
-from .schedule import check_int, check_seed, is_int
+from .schedule import check_int, is_int
 from .solver import (SolverConfig, eval_region, expected_nfe,
                      make_time_grid, noise_draws, pulmonary_solve,
                      start_time)
@@ -51,7 +51,7 @@ class EaasRequest:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_int("seed", self.seed, 0)
         size = self.patch_size
         if (not isinstance(size, (tuple, list)) or len(size) != 3
                 or not all(is_int(v) and v > 0 for v in size)):

@@ -21,8 +21,7 @@ class NoisyState:
     schedule: object
 
     def __post_init__(self):
-        if self.t < 0 or self.t > self.schedule.T:
-            raise ValidationError(f"t={self.t} outside [0, {self.schedule.T}]")
+        self.schedule.coefficients_at(self.t)  # the [0, T] range check
 
 
 def diffuse(x0, t, eps, s):

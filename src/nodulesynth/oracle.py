@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .predictor import AnalyticGaussianPredictor
-from .schedule import check_seed, coefficients_of_lambda, is_int
+from .schedule import check_int, coefficients_of_lambda, is_int
 from .solver import TimeGrid, dpm_solve
 from .volume import VoxelVolume
 
@@ -97,7 +97,7 @@ def convergence_study(s, mu=0.3, var=0.25,
     Raises ValidationError, before any solve, for T < T_START, an order
     outside 1-3, or a repeated or < 1 step count.
     """
-    check_seed(seed)
+    check_int("seed", seed, 0)
     if not all(is_int(o) and o in (1, 2, 3) for o in orders):
         raise ValidationError(f"orders must be from 1, 2, 3, got {orders!r}")
     if len(set(steps_list)) < len(steps_list) or not all(

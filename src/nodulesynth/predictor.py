@@ -20,7 +20,7 @@ from scipy.special import expit
 from .errors import (FormatError, SolverError, TrainingError,
                      ValidationError)
 from .forward import q_sample
-from .schedule import check_int, check_seed, is_finite_real
+from .schedule import check_int, is_finite_real
 from .spare import counted_request, settle, submit
 from .volume import NO_CUT, VoxelVolume, read_binary, write_binary
 
@@ -314,7 +314,7 @@ class TinyConvPredictor(NoisePredictor):
         self._workspaces = defaultdict(_Workspace)  # see loss_and_grads
         self.params = {name: np.zeros(shape) for name, shape in self.SHAPES}
         if seed is not None:
-            check_seed(seed)
+            check_int("seed", seed, 0)
             rng = np.random.default_rng(seed)
             for name, shape in self.SHAPES:
                 if name.startswith("w"):
@@ -454,18 +454,15 @@ class TinyConvPredictor(NoisePredictor):
 
     @classmethod
     def load(cls, path):
-        """Read a checkpoint; raises FormatError for a malformed file, a
-        parameter count other than the net's or a non-finite weight."""
+        """Read a checkpoint; raises FormatError for a malformed file
+        (:func:`~nodulesynth.volume.read_binary`, which also rejects a
+        non-finite weight) or a parameter count other than the net's."""
         (count,), flat = read_binary(path, _CKPT_HEADER, _CKPT_MAGIC, "<f4",
                                      lambda fields: fields[0])
         p = cls()
         if count != p.n_params:
             raise FormatError(f"checkpoint holds {count} parameters, the net "
                               f"has {p.n_params}", offset=8)
-        i = int(np.argmin(np.isfinite(flat)))  # the first non-finite, if any
-        if not np.isfinite(flat[i]):
-            raise FormatError(f"non-finite weight {flat[i]} at index {i}",
-                              offset=_CKPT_HEADER.size + 4 * i)
         p.set_flat(flat.astype(np.float64))
         return p
 
@@ -524,7 +521,7 @@ def train(p, dataset, s, epochs, lr=1e-3, seed=0):
     if not (is_finite_real(lr) and lr > 0):
         raise ValidationError(
             f"lr must be a positive real number, got {lr!r}")
-    check_seed(seed)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     opt = Adam(p.n_params, lr=lr)
     losses = []

@@ -102,13 +102,6 @@ def check_int(name, value, low):
             f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def check_seed(seed):
-    """Raise ValidationError unless ``seed`` is a non-negative integer."""
-    if not is_int(seed) or seed < 0:
-        raise ValidationError(
-            f"seed must be a non-negative integer, got {seed!r}")
-
-
 def is_finite_real(v):
     """Whether ``v`` is a finite Python or numpy real number (bool is not)."""
     return ((is_int(v) or isinstance(v, (float, np.floating)))

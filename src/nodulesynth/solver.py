@@ -236,21 +236,18 @@ def _singlestep_order2(x, x0_s, i, grid, p, c, s, spacing):
             - alpha_t * (emh - 1.0) * (x0_m - x0_s))
 
 
-def ancestral_step(x, x0, t_hi, t_lo, rng, s):
-    """Generalized DDPM posterior step from integer t_hi down to t_lo.
+def ancestral_step(x, x0, grid, i, rng):
+    """Generalized DDPM posterior step from node i-1 down to node i.
 
     Posterior mean from the state array ``x`` and its clean-data
     prediction ``x0``, plus sigma-scaled fresh noise; no noise is added
-    on the final step to t_lo = 0.
+    on the final step to t = 0.
     """
-    if t_lo >= t_hi:
-        raise ValidationError(f"need t_hi > t_lo, got {t_hi} <= {t_lo}")
-    ab_hi, _, _ = s.coefficients_at(t_hi)
-    ab_lo, _, _ = s.coefficients_at(t_lo)
+    ab_hi, ab_lo = grid.alpha_bar[i - 1], grid.alpha_bar[i]
     a = ab_hi / ab_lo
     mean = (math.sqrt(a) * (1.0 - ab_lo) * x
             + math.sqrt(ab_lo) * (1.0 - a) * x0) / (1.0 - ab_hi)
-    if t_lo > 0:
+    if grid.ts[i] > 0:
         var = (1.0 - a) * (1.0 - ab_lo) / (1.0 - ab_hi)
         mean = mean + math.sqrt(var) * rng.standard_normal(x.shape)
     return mean
@@ -334,7 +331,7 @@ def ancestral_solve(x_init, grid, p, c, s, rng, gamma=0.0, blend=None):
     for i in range(1, len(grid)):
         x0 = _data_prediction(p, x, grid.ts[i - 1], grid.alpha_bar[i - 1],
                               grid.sigma[i - 1], c, spacing)
-        x = ancestral_step(x, x0, grid.ts[i - 1], grid.ts[i], rng, s)
+        x = ancestral_step(x, x0, grid, i, rng)
         x = _end_step(x, grid, i, gamma, rng, s, blend)
     return VoxelVolume(x, spacing)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .schedule import check_seed, is_int
+from .schedule import check_int, is_int
 
 BACKGROUND, LUNG, NODULE = 0, 1, 2
 
@@ -174,7 +174,7 @@ def make_phantom(seed, dims):
         raise ValidationError(
             f"phantom dims must be integers >= (16, 16, 16), got {dims!r}")
     dims = tuple(int(d) for d in dims)
-    check_seed(seed)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     nz, ny, nx = dims
     z, y, x = np.ogrid[:nz, :ny, :nx]
@@ -228,7 +228,8 @@ def read_binary(path, head, magic, dtype, count):
     """(header fields after magic and version, payload as ``dtype``) of a
     :func:`write_binary` file; ``count(fields)`` is the payload's item
     count.  Raises FormatError for a short header, another magic or
-    version, or a payload of another size."""
+    version, a payload of another size or, in a float payload, a NaN or
+    infinite value (at the first one)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < head.size:
@@ -242,16 +243,26 @@ def read_binary(path, head, magic, dtype, count):
     if len(raw) != expected:
         raise FormatError(f"payload size mismatch: expected {expected} bytes "
                           f"total, got {len(raw)}", offset=head.size)
-    return fields, np.frombuffer(raw, dtype, offset=head.size)
+    payload = np.frombuffer(raw, dtype, offset=head.size)
+    if payload.dtype.kind == "f" and payload.size:
+        i = int(np.argmin(np.isfinite(payload)))  # the first non-finite, if any
+        if not np.isfinite(payload[i]):
+            raise FormatError(f"non-finite value {payload[i]} at index {i}",
+                              offset=head.size + payload.itemsize * i)
+    return fields, payload
 
 
 def _read(path, dtype_code):
     def count(fields):
-        got, nz, ny, nx = fields[:4]
+        got, nz, ny, nx, *spacing = fields
         if got != dtype_code:
             raise FormatError(f"dtype code {got}, expected {dtype_code}", offset=8)
         if not 0 < nz * ny * nx <= 2 ** 31:
             raise FormatError(f"dimension overflow: {(nz, ny, nx)}", offset=12)
+        for axis, v in enumerate(spacing):
+            if not 0 < v < math.inf:
+                raise FormatError(f"spacing {v} on axis {axis} is not positive "
+                                  "and finite", offset=24 + 4 * axis)
         return nz * ny * nx
 
     (_, *dims, sz, sy, sx), payload = read_binary(
@@ -276,4 +287,8 @@ def write_layout(layout, path):
 
 def read_layout(path):
     arr, spacing = _read(path, _DTYPE_U8)
+    i = int(np.argmax(arr > NODULE))  # the first bad label, if any
+    if arr.flat[i] > NODULE:
+        raise FormatError(f"label {arr.flat[i]} at index {i} outside {{0, 1, 2}}",
+                          offset=_HEADER.size + i)
     return SemanticLayout(arr.copy(), spacing)

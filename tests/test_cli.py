@@ -82,7 +82,7 @@ def test_sample_exit_codes(workdir):
                 + args[5:] + ["--analytic"]) == 4
 
 
-_BAD_SEED = "seed must be a non-negative integer"
+_BAD_SEED = "seed must be an integer >= 0"
 _BAD_GAMMA = "gamma must be finite and >= 0"
 _BAD_DIAMETER = "max_diameter_mm must be None or finite and > 0"
 _BAD_PROBS = "class_probs must be finite, >= 0 and sum to 1"
@@ -148,7 +148,7 @@ def test_sample_rejects_parallelism_below_one(workdir, capsys, parallelism):
                  "--analytic", "--parallelism", parallelism, "--out-prefix",
                  str(workdir / "bad" / "s")]) == 2
     out = capsys.readouterr()
-    assert "--parallelism must be >= 1" in out.err and not out.out
+    assert "--parallelism must be an integer >= 1" in out.err and not out.out
     assert not (workdir / "bad").exists()
 
 
@@ -329,8 +329,48 @@ def test_sample_with_a_non_finite_weight_exits_4_and_writes_nothing(
                  "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
                  "--weights", str(weights),
                  "--out-prefix", str(workdir / "out" / "s")]) == 4
-    assert "non-finite weight" in capsys.readouterr().err
+    assert "non-finite value nan at index 0" in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+# (file, byte offset, packed value, message) of one malformed input.
+_MALFORMED_INPUTS = {
+    "nan_intensity": ("vol", 36 + 4 * 100, struct.pack("<f", math.nan),
+                      "non-finite value nan at index 100 "
+                      "(at byte offset 436)"),
+    "label_above_nodule": ("lay", 36 + 7, bytes([3]),
+                           "label 3 at index 7 outside {0, 1, 2}"),
+    "zero_spacing": ("vol", 24 + 4, struct.pack("<f", 0.0),
+                     "spacing 0.0 on axis 1 is not positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_sample_with_a_malformed_input_exits_4_and_writes_nothing(
+        workdir, capsys, case):
+    kind, offset, value, message = _MALFORMED_INPUTS[case]
+    path = workdir / "data" / f"ph0.{kind}.ldpv"
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(value)] = value
+    path.write_bytes(bytes(raw))
+    assert main(["sample", "--config", str(workdir / "cfg.json"),
+                 "--reference", str(workdir / "data" / "ph0.vol.ldpv"),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--analytic", "--out-prefix", str(workdir / "out" / "s")]) == 4
+    out = capsys.readouterr()
+    assert f"I/O error: {message}" in out.err and not out.out
+    assert not (workdir / "out").exists()
+
+
+def test_sample_rejects_a_negative_count(workdir, capsys):
+    assert main(["sample", "--config", str(workdir / "cfg.json"),
+                 "--reference", str(workdir / "data" / "ph0.vol.ldpv"),
+                 "--lung-layout", str(workdir / "data" / "ph0.lay.ldpv"),
+                 "--analytic", "--count", "-1", "--out-prefix",
+                 str(workdir / "bad" / "s")]) == 2
+    out = capsys.readouterr()
+    assert "--count must be an integer >= 0" in out.err and not out.out
+    assert not (workdir / "bad").exists()
 
 
 def test_train_empty_data_dir(workdir, tmp_path):

@@ -57,7 +57,7 @@ def test_request_rejects_malformed_patch_size(phantom, cosine1000,
 
 @pytest.mark.parametrize("seed", ["x", 1.5, -3, True, None])
 def test_request_rejects_malformed_seed(phantom, cosine1000, seed):
-    with pytest.raises(ValueError, match="seed must be a non-negative"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         _request(phantom, cosine1000, seed=seed)
 
 

@@ -719,8 +719,8 @@ def test_train_deterministic(cosine100, rng, small_layout):
     ("lr", True, "lr must be a positive real"),
     ("lr", 0, "lr must be a positive real"),
     ("lr", float("nan"), "lr must be a positive real"),
-    ("seed", -1, "seed must be a non-negative integer"),
-    ("seed", 1.5, "seed must be a non-negative integer"),
+    ("seed", -1, "seed must be an integer >= 0"),
+    ("seed", 1.5, "seed must be an integer >= 0"),
 ])
 def test_train_rejects_malformed_arguments(cosine100, rng, small_layout, arg,
                                            value, message):
@@ -736,7 +736,7 @@ def test_train_rejects_malformed_arguments(cosine100, rng, small_layout, arg,
 @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
 def test_conv_predictor_rejects_malformed_seed(seed):
     with pytest.raises(ValidationError,
-                       match="seed must be a non-negative integer"):
+                       match="seed must be an integer >= 0"):
         TinyConvPredictor(seed=seed)
 
 
@@ -796,7 +796,7 @@ def test_checkpoint_with_a_non_finite_weight(tmp_path, bad, index):
     if index == 0:  # a later non-finite weight: the first one is named
         raw[-4:] = struct.pack("<f", np.nan)
     p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=f"non-finite weight .* index {i} "
+    with pytest.raises(FormatError, match=f"non-finite value .* index {i} "
                        rf"\(at byte offset {12 + 4 * i}\)") as err:
         TinyConvPredictor.load(p)
     assert err.value.offset == 12 + 4 * i

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from nodulesynth import bench
-from nodulesynth.eaas import run_batch
+from nodulesynth.eaas import EaasRequest, run_batch
 from nodulesynth.errors import ValidationError
-from nodulesynth.predictor import TinyConvPredictor, train
+from nodulesynth.oracle import convergence_study
+from nodulesynth.predictor import (AnalyticGaussianPredictor,
+                                   TinyConvPredictor, train)
 from nodulesynth.schedule import (BETA_MAX, COSINE_OFFSET, LAMBDA_CAP,
                                   coefficients_of_lambda, make_schedule)
 from nodulesynth.solver import SolverConfig, grid_from_times
+from nodulesynth.volume import VoxelVolume, make_phantom
 
 
 def test_cosine_alpha_bar_matches_closed_form(cosine1000):
@@ -202,3 +205,41 @@ def test_every_count_is_an_integer_at_or_above_its_floor(monkeypatch, name,
         call(np.int64(low))
     except Reached:
         pass
+
+
+def _request_with_seed(seed):
+    vol, lay = make_phantom(0, (16, 16, 16))
+    s = make_schedule("cosine", 100)
+    return EaasRequest(vol, lay, AnalyticGaussianPredictor(0.0, 1.0, s), s,
+                       SolverConfig(steps=10), patch_size=(8, 8, 8),
+                       seed=seed)
+
+
+def _train_with_seed(seed):
+    pair = (VoxelVolume(np.zeros((8, 8, 8))), make_phantom(0, (16,) * 3)[1])
+    return train(TinyConvPredictor(), [pair], None, epochs=0, seed=seed)
+
+
+# Each entry point that takes a seed: (name, call with it).  The T = 100
+# schedule stops convergence_study right after its seed check.
+SEEDED = [
+    ("EaasRequest", _request_with_seed),
+    ("TinyConvPredictor", lambda v: TinyConvPredictor(seed=v)),
+    ("train", _train_with_seed),
+    ("make_phantom", lambda v: make_phantom(v, (16, 16, 16))),
+    ("convergence_study", lambda v: convergence_study(
+        make_schedule("cosine", 100), seed=v)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in SEEDED],
+                         ids=[name for name, _ in SEEDED])
+def test_every_seed_is_an_integer_at_or_above_zero(call):
+    for bad in (True, 1.5, "3", -1):
+        message = f"seed must be an integer >= 0, got {bad!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call(bad)
+    try:
+        call(np.int64(0))
+    except ValidationError as err:  # only convergence_study's T check
+        assert str(err) == "time 850 outside [0, 100]"

@@ -196,17 +196,41 @@ def test_ancestral_chain_recovers_target_moments(cosine100, rng):
     assert abs(x.data.var(ddof=1) - var) < 0.25 * var
 
 
-def test_ancestral_step_validation(cosine100, rng):
-    x = rng.standard_normal((4, 4, 4))
-    with pytest.raises(ValueError):
-        ancestral_step(x, x, 10, 10, rng, cosine100)
-
-
 def test_ancestral_final_step_deterministic(cosine100, rng):
     x, x0 = rng.standard_normal((2, 4, 4, 4))
-    a = ancestral_step(x, x0, 1, 0, np.random.default_rng(1), cosine100)
-    b = ancestral_step(x, x0, 1, 0, np.random.default_rng(2), cosine100)
+    grid = grid_from_times(cosine100, [1, 0])
+    a = ancestral_step(x, x0, grid, 1, np.random.default_rng(1))
+    b = ancestral_step(x, x0, grid, 1, np.random.default_rng(2))
     np.testing.assert_array_equal(a, b)
+
+
+def _ancestral_step_by_lookup(x, x0, t_hi, t_lo, rng, s):
+    # The step as it read both nodes' coefficients from the schedule.
+    ab_hi, _, _ = s.coefficients_at(t_hi)
+    ab_lo, _, _ = s.coefficients_at(t_lo)
+    a = ab_hi / ab_lo
+    mean = (math.sqrt(a) * (1.0 - ab_lo) * x
+            + math.sqrt(ab_lo) * (1.0 - a) * x0) / (1.0 - ab_hi)
+    if t_lo > 0:
+        var = (1.0 - a) * (1.0 - ab_lo) / (1.0 - ab_hi)
+        mean = mean + math.sqrt(var) * rng.standard_normal(x.shape)
+    return mean
+
+
+@pytest.mark.parametrize("T,steps,t_start", [
+    (100, 1, None), (100, 7, None), (100, 100, None), (100, 10, 37),
+    (1000, 10, None), (1000, 50, 850), (1000, 1000, None), (1000, 3, 3),
+])
+def test_ancestral_step_reads_the_grid_bit_for_bit(T, steps, t_start):
+    s = make_schedule("cosine", T)
+    grid = make_time_grid(s, SolverConfig(method="ancestral", steps=steps,
+                                          t_start=t_start))
+    x, x0 = np.random.default_rng(T + steps).standard_normal((2, 3, 4, 5))
+    for i in range(1, len(grid)):
+        got = ancestral_step(x, x0, grid, i, np.random.default_rng(i))
+        want = _ancestral_step_by_lookup(x, x0, grid.ts[i - 1], grid.ts[i],
+                                         np.random.default_rng(i), s)
+        assert got.tobytes() == want.tobytes()
 
 
 # -- NFE accounting ----------------------------------------------------------

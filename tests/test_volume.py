@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,53 @@ def test_read_payload_size_mismatch(tmp_path, rng):
     p.write_bytes(p.read_bytes()[:-3])
     with pytest.raises(FormatError, match="payload size mismatch"):
         read_volume(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_volume_with_a_non_finite_value(tmp_path, rng, bad):
+    p = tmp_path / "v.ldpv"
+    write_volume(VoxelVolume(rng.standard_normal((3, 4, 5))), p)
+    raw = bytearray(p.read_bytes())
+    for i in (17, 59):  # the first one is named
+        raw[36 + 4 * i:40 + 4 * i] = struct.pack("<f", bad)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"non-finite value {bad} at index "
+                       r"17 \(at byte offset 104\)") as err:
+        read_volume(p)
+    assert err.value.offset == 36 + 4 * 17
+
+
+def test_read_layout_with_a_label_above_nodule(tmp_path):
+    p = tmp_path / "l.ldpv"
+    write_layout(SemanticLayout(np.full((3, 4, 5), LUNG, np.uint8)), p)
+    raw = bytearray(p.read_bytes())
+    raw[36 + 9], raw[36 + 40] = 3, 255  # the first one is named
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"label 3 at index 9 outside "
+                       r"\{0, 1, 2\} \(at byte offset 45\)") as err:
+        read_layout(p)
+    assert err.value.offset == 45
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("write,read", [
+    (lambda p: write_volume(VoxelVolume(np.zeros((2, 2, 2))), p),
+     read_volume),
+    (lambda p: write_layout(SemanticLayout(np.zeros((2, 2, 2), np.uint8)), p),
+     read_layout),
+], ids=["volume", "layout"])
+def test_read_spacing_that_is_not_positive_and_finite(tmp_path, axis, bad,
+                                                      write, read):
+    p = tmp_path / "g.ldpv"
+    write(p)
+    raw = bytearray(p.read_bytes())
+    raw[24 + 4 * axis:28 + 4 * axis] = struct.pack("<f", bad)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"spacing {bad} on axis {axis} is "
+                       "not positive and finite") as err:
+        read(p)
+    assert err.value.offset == 24 + 4 * axis
 
 
 # -- misc --------------------------------------------------------------------
