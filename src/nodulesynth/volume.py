@@ -34,7 +34,10 @@ def _set_grid(grid, name, dtype, what):
     copy; the caller's array stays writable) and its spacing to 3 floats,
     or raise ValidationError unless the view (``what``) is 3D and the
     spacing 3 positive finite numbers.  Returns the view."""
-    arr = np.asarray(getattr(grid, name), dtype=dtype).view()
+    try:
+        arr = np.asarray(getattr(grid, name), dtype=dtype).view()
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a numeric array") from None
     if arr.ndim != 3:
         raise ValidationError(f"{what} must be 3D, got shape {arr.shape}")
     spacing = tuple(float(s) for s in grid.spacing)
@@ -86,10 +89,20 @@ class SemanticLayout:
     cut: tuple = NO_CUT
 
     def __post_init__(self):
+        if getattr(self.labels, "dtype", None) != np.uint8:
+            # Checked before the cast, which would wrap 258 to NODULE and
+            # truncate 1.7 to LUNG.
+            given = _set_grid(self, "labels", None, "layout labels")
+            if given.dtype.kind not in "biuf" or not np.isin(
+                    given, (BACKGROUND, LUNG, NODULE)).all():
+                raise ValidationError("layout labels must be in {0, 1, 2}")
         labels = _set_grid(self, "labels", np.uint8, "layout labels")
         if labels.size and labels.max() > NODULE:
             raise ValidationError("layout labels must be in {0, 1, 2}")
-        cut = tuple((bool(lo), bool(hi)) for lo, hi in self.cut)
+        try:
+            cut = tuple((bool(lo), bool(hi)) for lo, hi in self.cut)
+        except (TypeError, ValueError):  # not a sequence of pairs
+            cut = ()
         if len(cut) != 3:
             raise ValidationError(f"cut must be 3 (low, high) pairs, got {self.cut}")
         object.__setattr__(self, "cut", cut)
@@ -166,9 +179,10 @@ def make_phantom(seed, dims):
     ellipsoidal low-intensity lung fields (~-0.9), and a few bright
     tube structures as vessel proxies (~0.5).
 
-    A tube only relabels lung voxels, so each tube is tested on the lung
-    voxels alone.  Returns (VoxelVolume, SemanticLayout) with lung
-    voxels labeled.  Deterministic given the seed.
+    A tube sets the lung voxels it passes through to 0.5 and leaves
+    their label ``LUNG``; other voxels it leaves alone.  Returns
+    (VoxelVolume, SemanticLayout) with lung voxels labeled.
+    Deterministic given the seed.
     """
     if len(dims) != 3 or not all(is_int(d) and d >= 16 for d in dims):
         raise ValidationError(
@@ -177,10 +191,10 @@ def make_phantom(seed, dims):
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     nz, ny, nx = dims
-    z, y, x = np.ogrid[:nz, :ny, :nx]
 
-    data = np.full(dims, 0.1, dtype=np.float64)
-    data += 0.02 * rng.standard_normal(dims)
+    data = rng.standard_normal(dims)
+    data *= 0.02
+    data += 0.1
     labels = np.zeros(dims, dtype=np.uint8)
 
     # Two lungs, mirrored about the mid-sagittal plane, with jittered
@@ -192,27 +206,48 @@ def make_phantom(seed, dims):
         az = nz * (0.38 + 0.03 * rng.uniform(-1, 1))
         ay = ny * (0.30 + 0.03 * rng.uniform(-1, 1))
         ax = nx * (0.16 + 0.02 * rng.uniform(-1, 1))
-        inside = (((z - cz) / az) ** 2 + ((y - cy) / ay) ** 2
-                  + ((x - cx) / ax) ** 2) <= 1.0
-        data[inside] = -0.9 + 0.03 * rng.standard_normal(int(inside.sum()))
-        labels[inside] = LUNG
+        # The per-axis terms are >= 0, so a voxel with one above 1 is
+        # outside: test only the box where every term is <= 1 (never
+        # empty at dims >= 16).
+        terms = [((np.arange(n) - c) / s) ** 2
+                 for n, c, s in zip(dims, (cz, cy, cx), (az, ay, ax))]
+        box = tuple(slice(i[0], i[-1] + 1)
+                    for i in (np.flatnonzero(t <= 1.0) for t in terms))
+        tz, ty, tx = (t[b] for t, b in zip(terms, box))
+        inside = (tz[:, None, None] + ty[:, None]) + tx <= 1.0
+        data[box][inside] = -0.9 + 0.03 * rng.standard_normal(int(inside.sum()))
+        labels[box][inside] = LUNG
 
-    # Vessel proxies: bright tubes through the lung fields.
-    lung = np.nonzero(labels == LUNG)
+    # Vessel proxies: bright tubes through the lung fields.  On a plane
+    # normal to axis a, a voxel at distance rho from where the tube's line
+    # crosses the plane lies at least rho * |d_a| from the line, so only
+    # the lung voxels of a window of half-width ceil((r + 1) / |d_a|) + 1
+    # around each crossing are tested; a is the axis of the largest |d_a|.
     n_tubes = 3 + int(rng.integers(0, 3))
     for _ in range(n_tubes):
         p0 = rng.uniform([0, 0, 0], dims)
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
-        rel = np.stack([i - c for i, c in zip(lung, p0)], axis=-1)
+        r = rng.uniform(1.0, 2.5)
+        a = int(np.argmax(np.abs(d)))
+        w = math.ceil((r + 1) / abs(d[a])) + 1
+        plane = np.arange(dims[a])
+        center = np.floor(p0 + np.outer((plane - p0[a]) / d[a], d)).astype(np.intp)
+        center[:, a] = plane
+        offset = np.stack(np.meshgrid(*[[0] if k == a else np.arange(-w, w + 1)
+                                        for k in range(3)], indexing="ij"), -1)
+        vox = np.clip(center[:, None] + offset.reshape(-1, 3), 0,
+                      np.array(dims) - 1).reshape(-1, 3)
+        vox = vox[labels[tuple(vox.T)] == LUNG]
+        rel = vox - p0
         along = rel @ d
         radial2 = (rel * rel).sum(axis=-1) - along ** 2
-        tube = radial2 <= rng.uniform(1.0, 2.5) ** 2
-        data[tuple(i[tube] for i in lung)] = 0.5
+        data[tuple(vox[radial2 <= r ** 2].T)] = 0.5
 
     np.clip(data, -1.0, 1.0, out=data)
     # Round through f32 so phantoms round-trip the binary format exactly.
-    data[...] = data.astype(np.float32)
+    for slab in data:
+        slab[...] = slab.astype(np.float32)
     return VoxelVolume(data, (1.0, 1.0, 1.0)), SemanticLayout(labels, (1.0, 1.0, 1.0))
 
 
